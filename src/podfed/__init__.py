@@ -44,24 +44,17 @@ from .summary import (
     AmfParams,
     BloomFilter,
     ExactFilter,
-    FileSummary,
+    FormatError,
     ParamsMismatchError,
+    Summary,
     create_file_summary,
-    false_positive_estimate,
     false_positive_rate,
     summary_add,
     summary_combine,
     summary_contains,
-    summary_initialize,
 )
 from .pod import ChangeNotification, Pod, PodFile, UnknownFileError
-from .aggregator import (
-    Aggregator,
-    CombinedSummary,
-    create_aggregated_summary,
-    read_combined_summary,
-    write_combined_summary,
-)
+from .aggregator import Aggregator, create_aggregated_summary
 from .client import (
     QueryResult,
     SelectionReport,

@@ -8,8 +8,7 @@ stay untrusted.
 
 Bitmap union is not invertible, so a change to one source triggers a
 recombination over all cached file summaries. Maintenance is notification
-driven (plus an explicit full rescan); periodic polling is accepted as
-configuration but intentionally not implemented.
+driven, plus an explicit full rescan.
 """
 
 from __future__ import annotations
@@ -22,41 +21,15 @@ from .quads import COMPONENTS
 from .summary import (
     AmfParams,
     BloomFilter,
-    ExactFilter,
-    FileSummary,
     FilterFactory,
-    FORMAT_VERSION,
     ParamsMismatchError,
+    Summary,
     summary_combine,
-    summary_initialize,
 )
-
-COMBINED_SUMMARY_MAGIC = b"PPAS"
 
 SourceList = tuple[str, ...]
 
-FetchSummary = Callable[[str], FileSummary]
-
-
-@dataclass
-class CombinedSummary:
-    """Component-wise union of all aggregated file summaries."""
-
-    subject: BloomFilter | ExactFilter
-    predicate: BloomFilter | ExactFilter
-    object: BloomFilter | ExactFilter
-    graph: BloomFilter | ExactFilter
-    generation: int = 0
-
-    @property
-    def params(self) -> AmfParams:
-        return self.subject.params
-
-    def component(self, name: str):
-        return getattr(self, name)
-
-    def filters(self):
-        return [self.component(name) for name in COMPONENTS]
+FetchSummary = Callable[[str], Summary]
 
 
 def create_aggregated_summary(
@@ -64,15 +37,15 @@ def create_aggregated_summary(
     fetch: FetchSummary,
     params: AmfParams,
     filter_cls: FilterFactory = BloomFilter,
-) -> tuple[CombinedSummary, SourceList]:
+) -> tuple[Summary, SourceList]:
     """Fold the file summaries of ``sources`` into one combined summary.
 
     Sources are deduplicated but keep their first-seen order. Every fetched
     summary must use identical parameters; a mismatch is rejected with the
     offending source named (no cross-parameter merge is attempted).
     """
-    ordered = list(dict.fromkeys(sources))
-    filters = {name: summary_initialize(params, filter_cls) for name in COMPONENTS}
+    ordered = tuple(dict.fromkeys(sources))
+    filters = {name: filter_cls(params) for name in COMPONENTS}
     for uri in ordered:
         file_summary = fetch(uri)
         for name in COMPONENTS:
@@ -80,49 +53,12 @@ def create_aggregated_summary(
                 filters[name] = summary_combine(filters[name], file_summary.component(name))
             except ParamsMismatchError as exc:
                 raise ParamsMismatchError(f"source {uri}: {exc}") from None
-    return CombinedSummary(**filters), tuple(ordered)
-
-
-def write_combined_summary(combined: CombinedSummary, sources: SourceList) -> bytes:
-    """Binary dump: magic, version, LE32 source count, length-prefixed URIs,
-    then the four filters in the standard filter format."""
-    out = bytearray(COMBINED_SUMMARY_MAGIC)
-    out.append(FORMAT_VERSION)
-    out += len(sources).to_bytes(4, "little")
-    for uri in sources:
-        raw = uri.encode("utf-8")
-        out += len(raw).to_bytes(4, "little")
-        out += raw
-    for f in combined.filters():
-        out += f.to_bytes()
-    return bytes(out)
-
-
-def read_combined_summary(data: bytes) -> tuple[CombinedSummary, SourceList]:
-    if data[:4] != COMBINED_SUMMARY_MAGIC:
-        raise ValueError("bad combined-summary magic")
-    if data[4] != FORMAT_VERSION:
-        raise ValueError(f"unsupported combined-summary format version {data[4]}")
-    count = int.from_bytes(data[5:9], "little")
-    offset = 9
-    sources = []
-    for _ in range(count):
-        n = int.from_bytes(data[offset : offset + 4], "little")
-        offset += 4
-        sources.append(data[offset : offset + n].decode("utf-8"))
-        offset += n
-    filters = []
-    for _ in COMPONENTS:
-        f, offset = BloomFilter.from_bytes(data, offset)
-        filters.append(f)
-    return CombinedSummary(*filters), tuple(sources)
+    return Summary(**filters, sources=ordered), ordered
 
 
 @dataclass(frozen=True)
 class _Snapshot:
-    combined: CombinedSummary
-    sources: SourceList
-    generation: int
+    summary: Summary
     stale: frozenset[str]
 
 
@@ -141,27 +77,18 @@ class Aggregator:
         sources: Sequence[str],
         params: AmfParams,
         filter_cls: FilterFactory = BloomFilter,
-        polling_interval: float | None = None,
     ):
         self._fetch = fetch
         self._params = params
         self._filter_cls = filter_cls
-        # Accepted for config compatibility; only notification-driven
-        # maintenance and full_rescan() are implemented.
-        self.polling_interval = polling_interval
         self._lock = threading.Lock()
-        self._cache: dict[str, FileSummary] = {}
+        self._cache: dict[str, Summary] = {}
         ordered = tuple(dict.fromkeys(sources))
         for uri in ordered:
             self._cache[uri] = fetch(uri)
-        self._snapshot = _Snapshot(
-            combined=self._recombine(ordered, generation=0),
-            sources=ordered,
-            generation=0,
-            stale=frozenset(),
-        )
+        self._snapshot = _Snapshot(self._recombine(ordered, generation=0), frozenset())
 
-    def _recombine(self, sources: SourceList, generation: int) -> CombinedSummary:
+    def _recombine(self, sources: SourceList, generation: int) -> Summary:
         combined, _ = create_aggregated_summary(
             sources, self._cache.__getitem__, self._params, self._filter_cls
         )
@@ -172,20 +99,15 @@ class Aggregator:
         """Re-fetch one source's summary and recombine over all sources."""
         with self._lock:
             snap = self._snapshot
-            if uri not in snap.sources:
+            if uri not in snap.summary.sources:
                 raise KeyError(f"source {uri!r} is not aggregated here")
             try:
                 self._cache[uri] = self._fetch(uri)
             except Exception:
-                self._snapshot = _Snapshot(
-                    snap.combined, snap.sources, snap.generation, snap.stale | {uri}
-                )
+                self._snapshot = _Snapshot(snap.summary, snap.stale | {uri})
                 return
-            generation = snap.generation + 1
             self._snapshot = _Snapshot(
-                self._recombine(snap.sources, generation),
-                snap.sources,
-                generation,
+                self._recombine(snap.summary.sources, snap.summary.generation + 1),
                 snap.stale - {uri},
             )
 
@@ -193,35 +115,26 @@ class Aggregator:
         """Re-fetch every source and rebuild the combined summary."""
         with self._lock:
             snap = self._snapshot
+            sources = snap.summary.sources
             stale = set(snap.stale)
-            for uri in snap.sources:
+            for uri in sources:
                 try:
                     self._cache[uri] = self._fetch(uri)
                     stale.discard(uri)
                 except Exception:
                     stale.add(uri)
-            generation = snap.generation + 1
             self._snapshot = _Snapshot(
-                self._recombine(snap.sources, generation),
-                snap.sources,
-                generation,
-                frozenset(stale),
+                self._recombine(sources, snap.summary.generation + 1), frozenset(stale)
             )
 
-    def snapshot(self) -> tuple[CombinedSummary, SourceList]:
+    def snapshot(self) -> tuple[Summary, SourceList]:
         """Consistent (combined summary, source list) pair of one generation."""
-        snap = self._snapshot
-        return snap.combined, snap.sources
-
-    def get_summary(self) -> CombinedSummary:
-        return self._snapshot.combined
-
-    def get_sources(self) -> SourceList:
-        return self._snapshot.sources
+        summary = self._snapshot.summary
+        return summary, summary.sources
 
     @property
     def generation(self) -> int:
-        return self._snapshot.generation
+        return self._snapshot.summary.generation
 
     @property
     def stale_sources(self) -> frozenset[str]:

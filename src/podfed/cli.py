@@ -2,7 +2,7 @@
 
 Subcommands: run a federated query against a scenario, measure the filter
 false-positive rate, run the leakage experiment, rotate a policy key, and
-dump summaries in their binary formats.
+dump summaries in their binary form.
 
 Exit codes: 0 success, 1 experiment or assertion failure, 2 usage error.
 `PODFED_SEED` in the environment overrides any --seed argument.

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .aggregator import Aggregator, CombinedSummary, SourceList
+from .aggregator import Aggregator, SourceList
 from .policy import Identity, KeyRing
 from .quads import Quad, QuadPattern
-from .summary import ANY_SOURCE, summary_contains
+from .summary import ANY_SOURCE, Summary, summary_contains
 
 logger = logging.getLogger(__name__)
 
@@ -70,7 +71,7 @@ def _matches_any_key(f, term, keyring: KeyRing, source_uri: str) -> tuple[bool, 
 def select_sources(
     pattern: QuadPattern,
     keyring: KeyRing,
-    combined: CombinedSummary,
+    combined: Summary,
     sources: SourceList,
 ) -> tuple[tuple[str, ...], SelectionReport]:
     """Pick the sources that may hold matches for ``pattern``.
@@ -125,28 +126,20 @@ def query_sources(
     failures: dict[str, str] = {}
 
     def run_one(uri: str):
-        return uri, query_fn(identity, pattern, uri)
+        try:
+            return query_fn(identity, pattern, uri), None
+        except Exception as exc:
+            return None, exc
 
-    if parallel and len(uris) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(uris))) as pool:
-            futures = {pool.submit(run_one, uri): uri for uri in uris}
-            for future, uri in futures.items():
-                try:
-                    _, quads = future.result()
-                except Exception as exc:
-                    logger.warning("query against %s failed: %s", uri, exc)
-                    failures[uri] = str(exc)
-                else:
-                    bindings.update((q, uri) for q in quads)
-    else:
-        for uri in uris:
-            try:
-                _, quads = run_one(uri)
-            except Exception as exc:
+    pooled = parallel and len(uris) > 1
+    with ThreadPoolExecutor(max_workers=min(8, len(uris))) if pooled else nullcontext() as pool:
+        outcomes = pool.map(run_one, uris) if pooled else map(run_one, uris)
+        for uri, (quads, exc) in zip(uris, outcomes):
+            if exc is None:
+                bindings.update((q, uri) for q in quads)
+            else:
                 logger.warning("query against %s failed: %s", uri, exc)
                 failures[uri] = str(exc)
-            else:
-                bindings.update((q, uri) for q in quads)
     return QueryResult(frozenset(bindings), failures)
 
 

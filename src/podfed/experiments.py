@@ -18,11 +18,10 @@ from .quads import COMPONENTS, Term, canonical_text, iri
 from .summary import (
     ANY_SOURCE,
     AmfParams,
-    false_positive_estimate,
+    BloomFilter,
     false_positive_rate,
     summary_add,
     summary_contains,
-    summary_initialize,
 )
 
 
@@ -61,7 +60,7 @@ def fpr_experiment(
     rng = random.Random(seed)
     key = rng.randbytes(32)
     source = "urn:exp:source"
-    f = summary_initialize(params)
+    f = BloomFilter(params)
     for i in range(inserts):
         summary_add(f, iri(f"urn:exp:member:{i}:{rng.getrandbits(64):016x}"), key, source)
     positives = 0
@@ -70,7 +69,8 @@ def fpr_experiment(
         if summary_contains(f, term, key, source):
             positives += 1
     measured = positives / probes
-    expected = false_positive_estimate(params, inserts)
+    # each add inserts a concrete-source and a wildcard-source element
+    expected = false_positive_rate(params, 2 * inserts)
     if expected > 0.0:
         deviation = abs(measured - expected) / expected
     else:
@@ -123,7 +123,7 @@ class LeakageReport:
 def restricted_terms(fed: Federation) -> list[tuple[str, Term, set[bytes]]]:
     """(component, term, permit keys) for terms summarized only under
     non-public keys among the aggregated sources."""
-    sources = set(fed.aggregator.get_sources())
+    sources = set(fed.aggregator.snapshot()[1])
     keys_per_term: dict[tuple[str, Term], set[bytes]] = {}
     for pod in fed.pods:
         for uri in pod.file_uris:
@@ -161,8 +161,9 @@ def aggregator_interface_is_opaque() -> tuple[bool, list[str]]:
     """Check that the aggregator's public surface never trades in quads,
     policies, keys or identities, only in source URIs and summaries.
 
-    Inspects the signatures of every public callable in the aggregator
-    module and of the Aggregator class, plus the module's import table.
+    Inspects the signatures of ``create_aggregated_summary``, of the
+    summary's binary reader and writer and of every public Aggregator
+    method, plus the aggregator module's import table.
     """
     problems: list[str] = []
     for name in dir(aggregator_module):
@@ -172,8 +173,9 @@ def aggregator_interface_is_opaque() -> tuple[bool, list[str]]:
         if getattr(obj, "__module__", None) in ("podfed.policy", "podfed.pod"):
             problems.append(f"module imports {name} from an access-control module")
     callables = [
-        getattr(aggregator_module, n)
-        for n in ("create_aggregated_summary", "write_combined_summary", "read_combined_summary")
+        aggregator_module.create_aggregated_summary,
+        aggregator_module.Summary.to_bytes,
+        aggregator_module.Summary.from_bytes,
     ]
     cls = aggregator_module.Aggregator
     callables += [
@@ -197,12 +199,13 @@ def leakage_experiment(fed: Federation, probes: int = 25000, seed: int | None = 
 
     Every restricted term also gets one control probe with a correct key,
     which must be positive. The pass bound per term is twice the analytic
-    false-positive rate of the component filter at its current fill.
+    false-positive rate of the component filter at its current fill,
+    estimated from its set bits.
     """
     if probes <= 0:
         raise ValueError("probes must be positive")
     rng = random.Random(seed)
-    combined = fed.aggregator.get_summary()
+    combined, _ = fed.aggregator.snapshot()
     real_keys = {
         key
         for pod in fed.pods
@@ -213,7 +216,7 @@ def leakage_experiment(fed: Federation, probes: int = 25000, seed: int | None = 
     total_positives = 0
     for component, term, keys in restricted_terms(fed):
         f = combined.component(component)
-        bound = 2.0 * false_positive_rate(f.params, f.approx_inserts)
+        bound = 2.0 * f.estimated_fpr
         positives = 0
         for _ in range(probes):
             wrong = rng.randbytes(32)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import yaml
 
-from .aggregator import Aggregator, write_combined_summary
+from .aggregator import Aggregator
 from .client import QueryResult, SelectionReport, federated_query
 from .policy import (
     CONFLICT_STRATEGIES,
@@ -130,7 +130,8 @@ class Federation:
         return self._pod_for(file_uri).execute_query(identity, pattern, file_uri)
 
     def _on_change(self, notification):
-        if notification.file_uri in self.aggregator.get_sources():
+        _, sources = self.aggregator.snapshot()
+        if notification.file_uri in sources:
             self.aggregator.on_source_changed(notification.file_uri)
 
     # --- client-facing convenience ------------------------------------------
@@ -170,8 +171,9 @@ class Federation:
                 if policy.id == policy_id:
                     self.keystore.rotate(policy)
                     pod.rebuild_access_state()
+                    _, sources = self.aggregator.snapshot()
                     for uri in pod.file_uris:
-                        if uri in self.aggregator.get_sources():
+                        if uri in sources:
                             self.aggregator.on_source_changed(uri)
                     return
         raise KeyError(f"unknown policy {policy_id!r}")
@@ -186,8 +188,8 @@ class Federation:
         return summary.component(component).to_bytes()
 
     def dump_combined_summary(self) -> bytes:
-        combined, sources = self.aggregator.snapshot()
-        return write_combined_summary(combined, sources)
+        combined, _ = self.aggregator.snapshot()
+        return combined.to_bytes()
 
 
 def parse_pattern_text(text: str) -> QuadPattern:
@@ -382,7 +384,6 @@ def load_scenario(
                 owner_webid=owner,
                 files=files,
                 policies=policies,
-                groups=groups,
                 identity_registry=registry,
                 keystore=keystore,
                 params=params,

@@ -20,7 +20,6 @@ from .policy import (
     Identity,
     KeyStore,
     PolicyKeyMap,
-    SubjectGroup,
     allowed_access,
     create_access_keys,
 )
@@ -29,8 +28,8 @@ from .summary import (
     AmfParams,
     DEFAULT_PARAMS,
     BloomFilter,
-    FileSummary,
     FilterFactory,
+    Summary,
     create_file_summary,
 )
 
@@ -51,7 +50,7 @@ class PodFile:
 
     uri: str
     quads: tuple[Quad, ...]
-    summary: FileSummary
+    summary: Summary
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,6 @@ class Pod:
         owner_webid: str,
         files: Mapping[str, Sequence[Quad]],
         policies: Sequence[AccessPolicy],
-        groups: Mapping[str, SubjectGroup],
         identity_registry: Mapping[str, str],
         keystore: KeyStore,
         params: AmfParams = DEFAULT_PARAMS,
@@ -91,7 +89,6 @@ class Pod:
                 )
         self.owner_webid = owner_webid
         self.policies = tuple(policies)
-        self.groups = dict(groups)
         self.identity_registry = dict(identity_registry)
         self.keystore = keystore
         self.params = params
@@ -173,16 +170,20 @@ class Pod:
             )
         }
 
-    def get_file_summary(self, file_uri: str) -> FileSummary:
+    def get_file_summary(self, file_uri: str) -> Summary:
         return self._file(file_uri).summary
 
     def update_file(self, file_uri: str, quads: Sequence[Quad]) -> ChangeNotification:
-        """Replace a file's contents atomically and notify aggregators.
+        """Replace an existing file's contents atomically and notify
+        aggregators.
 
         The key map and the file's summary are regenerated before readers
-        can observe the new quads.
+        can observe the new quads. Files cannot be added this way, since no
+        federation routes or aggregates them; an unknown URI raises
+        UnknownFileError.
         """
         with self._lock:
+            self._file(file_uri)
             contents = {uri: f.quads for uri, f in self._files.items()}
             contents[file_uri] = tuple(quads)
             self._rebuild(contents)

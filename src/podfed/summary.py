@@ -29,12 +29,16 @@ ANY_SOURCE = ""
 HASH_SHA256 = 1
 
 FILTER_MAGIC = b"PPFS"
-FILE_SUMMARY_MAGIC = b"PPSF"
+SUMMARY_MAGIC = b"PPAS"
 FORMAT_VERSION = 1
 
 
 class ParamsMismatchError(ValueError):
     """Raised when combining summaries built with incompatible parameters."""
+
+
+class FormatError(ValueError):
+    """A binary summary is truncated, corrupted or inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -74,9 +78,9 @@ class BloomFilter:
     shared between threads for concurrent reads.
     """
 
-    __slots__ = ("params", "bits", "approx_inserts")
+    __slots__ = ("params", "bits")
 
-    def __init__(self, params: AmfParams, bits: bytearray | None = None, approx_inserts: int = 0):
+    def __init__(self, params: AmfParams, bits: bytearray | None = None):
         self.params = params
         nbytes = (params.m + 7) // 8
         if bits is None:
@@ -84,7 +88,6 @@ class BloomFilter:
         elif len(bits) != nbytes:
             raise ValueError(f"bitmap has {len(bits)} bytes, expected {nbytes}")
         self.bits = bits
-        self.approx_inserts = approx_inserts
 
     def insert_digest(self, digest: bytes):
         m = self.params.m
@@ -94,7 +97,6 @@ class BloomFilter:
         for i in range(self.params.h):
             j = (h1 + i * h2) % m
             bits[j >> 3] |= 1 << (j & 7)
-        self.approx_inserts += 1
 
     def contains_digest(self, digest: bytes) -> bool:
         m = self.params.m
@@ -109,10 +111,15 @@ class BloomFilter:
 
     @property
     def popcount(self) -> int:
-        return sum(bin(b).count("1") for b in self.bits)
+        return int.from_bytes(self.bits, "little").bit_count()
+
+    @property
+    def estimated_fpr(self) -> float:
+        """False-positive rate at the current fill: (set bits / m) ** h."""
+        return (self.popcount / self.params.m) ** self.params.h
 
     def copy(self) -> "BloomFilter":
-        return BloomFilter(self.params, bytearray(self.bits), self.approx_inserts)
+        return BloomFilter(self.params, bytearray(self.bits))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BloomFilter):
@@ -133,22 +140,6 @@ class BloomFilter:
             + bytes(self.bits)
         )
 
-    @classmethod
-    def from_bytes(cls, data: bytes, offset: int = 0) -> tuple["BloomFilter", int]:
-        if data[offset : offset + 4] != FILTER_MAGIC:
-            raise ValueError("bad filter magic")
-        version, hash_alg = data[offset + 4], data[offset + 5]
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported filter format version {version}")
-        h = int.from_bytes(data[offset + 6 : offset + 8], "little")
-        m = int.from_bytes(data[offset + 8 : offset + 16], "little")
-        params = AmfParams(m=m, h=h, hash_alg=hash_alg)
-        nbytes = (m + 7) // 8
-        end = offset + 16 + nbytes
-        if len(data) < end:
-            raise ValueError("truncated filter bitmap")
-        return cls(params, bytearray(data[offset + 16 : end])), end
-
 
 class ExactFilter:
     """Exact-membership stand-in for a Bloom filter, used as a test oracle.
@@ -157,16 +148,14 @@ class ExactFilter:
     digest. Not serializable.
     """
 
-    __slots__ = ("params", "digests", "approx_inserts")
+    __slots__ = ("params", "digests")
 
-    def __init__(self, params: AmfParams, digests: set[bytes] | None = None, approx_inserts: int = 0):
+    def __init__(self, params: AmfParams, digests: set[bytes] | None = None):
         self.params = params
         self.digests = digests if digests is not None else set()
-        self.approx_inserts = approx_inserts
 
     def insert_digest(self, digest: bytes):
         self.digests.add(digest)
-        self.approx_inserts += 1
 
     def contains_digest(self, digest: bytes) -> bool:
         return digest in self.digests
@@ -175,8 +164,12 @@ class ExactFilter:
     def popcount(self) -> int:
         return len(self.digests)
 
+    @property
+    def estimated_fpr(self) -> float:
+        return 0.0
+
     def copy(self) -> "ExactFilter":
-        return ExactFilter(self.params, set(self.digests), self.approx_inserts)
+        return ExactFilter(self.params, set(self.digests))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactFilter):
@@ -188,11 +181,6 @@ class ExactFilter:
 
 
 FilterFactory = Callable[[AmfParams], "BloomFilter | ExactFilter"]
-
-
-def summary_initialize(params: AmfParams, filter_cls: FilterFactory = BloomFilter):
-    """Fresh, empty filter for the given parameters."""
-    return filter_cls(params)
 
 
 def summary_add(f, term: Term, key: AccessKey, source_uri: str):
@@ -226,21 +214,26 @@ def summary_combine(a, b):
             f"cannot combine incompatible summaries: {a!r} vs {b!r}"
         )
     if isinstance(a, ExactFilter):
-        return ExactFilter(a.params, a.digests | b.digests, a.approx_inserts + b.approx_inserts)
+        return ExactFilter(a.params, a.digests | b.digests)
     merged = int.from_bytes(a.bits, "little") | int.from_bytes(b.bits, "little")
-    bits = bytearray(merged.to_bytes(len(a.bits), "little"))
-    return BloomFilter(a.params, bits, a.approx_inserts + b.approx_inserts)
+    return BloomFilter(a.params, bytearray(merged.to_bytes(len(a.bits), "little")))
 
 
 @dataclass
-class FileSummary:
-    """Per-file summary: one filter per quad component."""
+class Summary:
+    """One filter per quad component plus the sources the filters cover.
 
-    source_uri: str
+    A pod's file summary covers one source; the aggregator's combined
+    summary covers every aggregated source. ``generation`` lives in memory
+    only and is not part of the binary form.
+    """
+
     subject: BloomFilter | ExactFilter
     predicate: BloomFilter | ExactFilter
     object: BloomFilter | ExactFilter
     graph: BloomFilter | ExactFilter
+    sources: tuple[str, ...]
+    generation: int = 0
 
     @property
     def params(self) -> AmfParams:
@@ -253,29 +246,92 @@ class FileSummary:
         return [self.component(name) for name in COMPONENTS]
 
     def to_bytes(self) -> bytes:
-        uri = self.source_uri.encode("utf-8")
-        out = bytearray(FILE_SUMMARY_MAGIC)
+        """Binary form: magic, version, LE32 source count, LE32
+        length-prefixed UTF-8 URIs, then the four filters in their own
+        binary form, in component order."""
+        out = bytearray(SUMMARY_MAGIC)
         out.append(FORMAT_VERSION)
-        out += len(uri).to_bytes(4, "little")
-        out += uri
+        out += len(self.sources).to_bytes(4, "little")
+        for uri in self.sources:
+            raw = uri.encode("utf-8")
+            out += len(raw).to_bytes(4, "little")
+            out += raw
         for f in self.filters():
             out += f.to_bytes()
         return bytes(out)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "FileSummary":
-        if data[:4] != FILE_SUMMARY_MAGIC:
-            raise ValueError("bad file-summary magic")
-        if data[4] != FORMAT_VERSION:
-            raise ValueError(f"unsupported file-summary format version {data[4]}")
-        uri_len = int.from_bytes(data[5:9], "little")
-        uri = data[9 : 9 + uri_len].decode("utf-8")
-        offset = 9 + uri_len
-        filters = []
-        for _ in COMPONENTS:
-            f, offset = BloomFilter.from_bytes(data, offset)
-            filters.append(f)
-        return cls(uri, *filters)
+    def from_bytes(cls, data: bytes) -> "Summary":
+        """Parse the binary form. Any defect, including bytes left over after
+        the last filter, raises FormatError; each length and count is checked
+        against the bytes left before anything is read or allocated for it."""
+        reader = _Reader(data)
+        reader.header(SUMMARY_MAGIC, "summary")
+        count = reader.uint(4, "source count")
+        # every URI takes at least its 4-byte length prefix
+        if count > reader.left // 4:
+            raise FormatError(f"source count {count} exceeds the {reader.left} bytes left")
+        sources = tuple(reader.text("source URI") for _ in range(count))
+        filters = [reader.bloom_filter() for _ in COMPONENTS]
+        if any(f.params != filters[0].params for f in filters):
+            raise FormatError("component filters have different parameters")
+        if reader.left:
+            raise FormatError(f"{reader.left} trailing bytes after the summary")
+        return cls(*filters, sources=sources)
+
+
+class _Reader:
+    """Cursor over a binary summary; every read is checked against the
+    bytes left."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    @property
+    def left(self) -> int:
+        return len(self.data) - self.pos
+
+    def take(self, n: int, what: str) -> bytes:
+        if n > self.left:
+            raise FormatError(
+                f"truncated {what}: {n} bytes needed at offset {self.pos}, {self.left} left"
+            )
+        self.pos += n
+        return self.data[self.pos - n : self.pos]
+
+    def uint(self, n: int, what: str) -> int:
+        return int.from_bytes(self.take(n, what), "little")
+
+    def header(self, magic: bytes, what: str):
+        if self.take(len(magic), f"{what} magic") != magic:
+            raise FormatError(f"bad {what} magic at offset {self.pos - len(magic)}")
+        version = self.uint(1, f"{what} version")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported {what} format version {version}")
+
+    def text(self, what: str) -> str:
+        raw = self.take(self.uint(4, f"{what} length"), what)
+        try:
+            return str(raw, "utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{what} ending at offset {self.pos} is not UTF-8") from None
+
+    def bloom_filter(self) -> BloomFilter:
+        """One filter record: the layout BloomFilter.to_bytes writes."""
+        self.header(FILTER_MAGIC, "filter")
+        hash_alg = self.uint(1, "hash algorithm id")
+        h = self.uint(2, "probe count")
+        m = self.uint(8, "bitmap size")
+        try:
+            params = AmfParams(m=m, h=h, hash_alg=hash_alg)
+        except ValueError as exc:
+            raise FormatError(f"bad filter parameters: {exc}") from None
+        bits = self.take((m + 7) // 8, "filter bitmap")
+        # padding bits past m are never set, so the binary form stays canonical
+        if bits[-1] >> (m % 8 or 8):
+            raise FormatError("filter bitmap sets bits beyond m")
+        return BloomFilter(params, bytearray(bits))
 
 
 def create_file_summary(
@@ -284,35 +340,26 @@ def create_file_summary(
     key_map: PolicyKeyMap,
     params: AmfParams = DEFAULT_PARAMS,
     filter_cls: FilterFactory = BloomFilter,
-) -> FileSummary:
+) -> Summary:
     """Summarize a file's quads, component by component, under each access
     key that permits them.
 
     Quads with no permitting policy contribute nothing (fail closed): data
     nobody may read must not be discoverable either.
     """
-    filters = {name: summary_initialize(params, filter_cls) for name in COMPONENTS}
+    filters = {name: filter_cls(params) for name in COMPONENTS}
     for quad in quads:
         for key in key_map.permit_keys_for(quad):
             for name in COMPONENTS:
                 summary_add(filters[name], quad.component(name), key, source_uri)
-    return FileSummary(source_uri, **filters)
+    return Summary(**filters, sources=(source_uri,))
 
 
 def false_positive_rate(params: AmfParams, effective_inserts: int) -> float:
     """Analytic false-positive rate after ``effective_inserts`` raw digest
-    insertions (a filter's ``approx_inserts`` counts exactly these)."""
+    insertions; each ``summary_add`` of a new element makes two."""
     if effective_inserts < 0:
         raise ValueError("insert count must be non-negative")
     if effective_inserts == 0:
         return 0.0
     return (1.0 - math.exp(-params.h * effective_inserts / params.m)) ** params.h
-
-
-def false_positive_estimate(params: AmfParams, added: int) -> float:
-    """Analytic false-positive rate after ``added`` summary_add calls.
-
-    Each add inserts two elements (concrete and wildcard source), so the
-    effective insert count is ``2 * added``.
-    """
-    return false_positive_rate(params, 2 * added)

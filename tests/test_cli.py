@@ -88,7 +88,7 @@ class TestDumpSummary:
         assert run(*base, str(per_file), "--file", BOB_PROFILE) == 0
         assert run(*base, str(component), "--file", BOB_PROFILE, "--component", "object") == 0
         assert combined.read_bytes()[:4] == b"PPAS"
-        assert per_file.read_bytes()[:4] == b"PPSF"
+        assert per_file.read_bytes()[:4] == b"PPAS"
         assert component.read_bytes()[:4] == b"PPFS"
 
     def test_two_runs_are_byte_identical(self, tmp_path, capsys):

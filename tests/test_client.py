@@ -159,9 +159,12 @@ class TestQuerySources:
         assert "unreachable" in result.failures[SRC_SEC]
 
     def test_parallel_equals_serial(self):
-        serial = query_sources(None, ALL_VAR, [SRC_PUB, SRC_SEC], self.fn, parallel=False)
-        parallel = query_sources(None, ALL_VAR, [SRC_PUB, SRC_SEC], self.fn, parallel=True)
-        assert serial.bindings == parallel.bindings
+        uris = [SRC_PUB, SRC_SEC, "urn:src:down"]
+        serial = query_sources(None, ALL_VAR, uris, self.fn, parallel=False)
+        parallel = query_sources(None, ALL_VAR, uris, self.fn, parallel=True)
+        assert serial.bindings == parallel.bindings == {(PUB_Q, SRC_PUB), (SEC_Q, SRC_SEC)}
+        assert serial.failures == parallel.failures
+        assert list(parallel.failures) == ["urn:src:down"]
 
 
 class TestFederatedQuery:

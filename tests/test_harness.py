@@ -37,7 +37,7 @@ class TestLoadScenario:
         assert len(fed.pods) == 3
         assert set(fed.identities) == {"alice", "bob", "carol", "dave"}
         assert {p.id for p in fed.policies} == {"r0", "r1", "r2", "r3", "r4", "r5"}
-        assert fed.aggregator.get_sources() == (CONTACTS, BOB_PROFILE, CAROL_PROFILE)
+        assert fed.aggregator.snapshot()[1] == (CONTACTS, BOB_PROFILE, CAROL_PROFILE)
         assert fed.params.m == 131072 and fed.params.h == 11
         assert fed.filter_cls is BloomFilter
 
@@ -54,7 +54,7 @@ class TestLoadScenario:
     def test_exact_mode_swaps_filter_class(self, fed_exact):
         assert fed_exact.filter_cls is ExactFilter
         assert isinstance(
-            fed_exact.aggregator.get_summary().component("subject"), ExactFilter
+            fed_exact.aggregator.snapshot()[0].component("subject"), ExactFilter
         )
 
     def test_minimal_scenario(self, tmp_path):
@@ -221,15 +221,13 @@ class TestFederationPlumbing:
         assert len(result) == 1
 
     def test_dumps_are_self_describing(self, fed):
-        from podfed.aggregator import read_combined_summary
-        from podfed.summary import FileSummary
+        from podfed.summary import Summary
 
-        combined_bytes = fed.dump_combined_summary()
-        _, sources = read_combined_summary(combined_bytes)
-        assert sources == fed.aggregator.get_sources()
+        combined = Summary.from_bytes(fed.dump_combined_summary())
+        assert combined.sources == fed.aggregator.snapshot()[1]
 
         summary_bytes = fed.dump_file_summary(BOB_PROFILE)
-        assert FileSummary.from_bytes(summary_bytes).source_uri == BOB_PROFILE
+        assert Summary.from_bytes(summary_bytes).sources == (BOB_PROFILE,)
 
         filter_bytes = fed.dump_component_filter(BOB_PROFILE, "predicate")
         assert filter_bytes[:4] == b"PPFS"

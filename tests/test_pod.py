@@ -50,7 +50,6 @@ def make_pod(policies=None, files=None, registry=None, **kwargs):
         owner_webid=OWNER,
         files=files if files is not None else {FILE: [NAME_Q, TEL_Q]},
         policies=policies,
-        groups=groups,
         identity_registry=registry if registry is not None else {
             OWNER: "owner-token", FRIEND: "friend-token", STRANGER: "stranger-token",
         },
@@ -173,6 +172,17 @@ class TestUpdates:
         summary = pod.get_file_summary(FILE)
         assert summary_contains(summary.component("object"), literal("Renamed"),
                                 PUBLIC_KEY, FILE)
+
+    def test_update_of_unknown_file_is_rejected(self):
+        pod = make_pod()
+        seen = []
+        pod.add_change_listener(seen.append)
+        before = pod.get_file_summary(FILE)
+        with pytest.raises(UnknownFileError):
+            pod.update_file("urn:pod:new", [NAME_Q])
+        assert pod.file_uris == (FILE,)
+        assert pod.get_file_summary(FILE) is before
+        assert seen == []
 
     def test_identical_rewrite_keeps_summary_bytes(self):
         pod = make_pod()

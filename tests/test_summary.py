@@ -2,23 +2,25 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from podfed.policy import PUBLIC_KEY, KeyStore, PolicyKeyMap
-from podfed.quads import Quad, iri, literal
+from podfed.policy import PolicyKeyMap
+from podfed.quads import COMPONENTS, Quad, canonical_bytes, iri, literal
 from podfed.summary import (
     ANY_SOURCE,
     AmfParams,
     BloomFilter,
     ExactFilter,
-    FileSummary,
+    FormatError,
     ParamsMismatchError,
+    Summary,
     create_file_summary,
-    false_positive_estimate,
+    encode_element,
     false_positive_rate,
     summary_add,
     summary_combine,
     summary_contains,
-    summary_initialize,
 )
 
 PARAMS = AmfParams(m=4096, h=5)
@@ -42,7 +44,7 @@ class TestParams:
 class TestMembership:
     def test_no_false_negatives(self):
         rng = random.Random(101)
-        f = summary_initialize(PARAMS)
+        f = BloomFilter(PARAMS)
         entries = [
             (term, rng.randbytes(8), f"urn:src:{rng.getrandbits(16)}")
             for term in random_terms(rng, 200)
@@ -55,25 +57,34 @@ class TestMembership:
 
     def test_wrong_key_or_source_not_found(self):
         # large filter, so a false positive here would be astronomically rare
-        f = summary_initialize(AmfParams(m=2**17, h=11))
+        f = BloomFilter(AmfParams(m=2**17, h=11))
         summary_add(f, iri("urn:secret"), b"right-key", SRC)
         assert not summary_contains(f, iri("urn:secret"), b"wrong-key", SRC)
         assert not summary_contains(f, iri("urn:secret"), b"right-key", "urn:test:other")
         assert not summary_contains(f, iri("urn:other"), b"right-key", SRC)
 
     def test_adding_under_wildcard_source_is_rejected(self):
-        f = summary_initialize(PARAMS)
+        f = BloomFilter(PARAMS)
         with pytest.raises(ValueError):
             summary_add(f, iri("urn:x"), b"k", ANY_SOURCE)
 
     def test_each_add_counts_two_effective_inserts(self):
-        f = summary_initialize(PARAMS)
+        f, exact, direct = BloomFilter(PARAMS), ExactFilter(PARAMS), BloomFilter(PARAMS)
         for i in range(7):
-            summary_add(f, iri(f"urn:x:{i}"), b"k", SRC)
-        assert f.approx_inserts == 14
+            term = iri(f"urn:x:{i}")
+            summary_add(f, term, b"k", SRC)
+            summary_add(exact, term, b"k", SRC)
+            for source in (SRC, ANY_SOURCE):
+                direct.insert_digest(encode_element(canonical_bytes(term), b"k", source))
+        assert f == direct
+        assert exact.popcount == 14
+        # the fill estimate is positive and survives the binary form
+        assert f.estimated_fpr > 0
+        parsed = Summary.from_bytes(Summary(f, f, f, f, sources=(SRC,)).to_bytes())
+        assert [g.estimated_fpr for g in parsed.filters()] == [f.estimated_fpr] * 4
 
     def test_exact_filter_has_no_false_positives(self):
-        f = summary_initialize(PARAMS, ExactFilter)
+        f = ExactFilter(PARAMS)
         for i in range(50):
             summary_add(f, iri(f"urn:in:{i}"), b"k", SRC)
         assert all(summary_contains(f, iri(f"urn:in:{i}"), b"k", SRC) for i in range(50))
@@ -84,7 +95,7 @@ class TestMembership:
 
 class TestCombine:
     def build(self, elements, filter_cls=BloomFilter):
-        f = summary_initialize(PARAMS, filter_cls)
+        f = filter_cls(PARAMS)
         for term, key, src in elements:
             summary_add(f, term, key, src)
         return f
@@ -95,9 +106,10 @@ class TestCombine:
     def test_union_equals_build_from_union(self):
         rng = random.Random(77)
         a_elems, b_elems = self.elements(rng, 40), self.elements(rng, 25)
-        combined = summary_combine(self.build(a_elems), self.build(b_elems))
+        a, b = self.build(a_elems), self.build(b_elems)
+        combined = summary_combine(a, b)
         assert combined == self.build(a_elems + b_elems)
-        assert combined.approx_inserts == 2 * (40 + 25)
+        assert combined.estimated_fpr > max(a.estimated_fpr, b.estimated_fpr) > 0
 
     def test_algebraic_laws(self):
         rng = random.Random(78)
@@ -121,13 +133,13 @@ class TestCombine:
     def test_mismatched_params_rejected(self):
         with pytest.raises(ParamsMismatchError):
             summary_combine(
-                summary_initialize(PARAMS), summary_initialize(AmfParams(m=8192, h=5))
+                BloomFilter(PARAMS), BloomFilter(AmfParams(m=8192, h=5))
             )
 
     def test_mismatched_types_rejected(self):
         with pytest.raises(ParamsMismatchError):
             summary_combine(
-                summary_initialize(PARAMS), summary_initialize(PARAMS, ExactFilter)
+                BloomFilter(PARAMS), ExactFilter(PARAMS)
             )
 
 
@@ -150,28 +162,130 @@ class TestSerialization:
         assert bytes(f.bits) == bytes([0x00, 0x20])
 
     def test_filter_round_trip_with_offset(self):
-        f = summary_initialize(PARAMS)
+        f = BloomFilter(PARAMS)
         summary_add(f, iri("urn:x"), b"k", SRC)
-        blob = b"prefix" + f.to_bytes()
-        parsed, end = BloomFilter.from_bytes(blob, offset=6)
-        assert parsed == f
-        assert end == len(blob)
+        summary = Summary(f, BloomFilter(PARAMS), f, BloomFilter(PARAMS), sources=(SRC,))
+        data = summary.to_bytes()
+        offset, size = 13 + len(SRC), len(f.to_bytes())
+        for i, g in enumerate(summary.filters()):
+            assert data[offset + i * size : offset + (i + 1) * size] == g.to_bytes()
+        assert Summary.from_bytes(data).filters() == summary.filters()
 
     def test_filter_rejects_bad_magic_and_truncation(self):
-        f = summary_initialize(PARAMS)
-        with pytest.raises(ValueError, match="magic"):
-            BloomFilter.from_bytes(b"XXXX" + f.to_bytes()[4:])
-        with pytest.raises(ValueError, match="truncated"):
-            BloomFilter.from_bytes(f.to_bytes()[:-1])
+        data = Summary(*[BloomFilter(PARAMS)] * 4, sources=(SRC,)).to_bytes()
+        offset = 13 + len(SRC)  # first filter record
+        with pytest.raises(FormatError, match="magic"):
+            Summary.from_bytes(data[:offset] + b"XXXX" + data[offset + 4 :])
+        with pytest.raises(FormatError, match="truncated"):
+            Summary.from_bytes(data[:-1])
 
     def test_file_summary_round_trip(self):
         quads = [Quad(iri("urn:s"), iri("urn:p"), literal("o"))]
-        key_map = PolicyKeyMap({quads[0]: frozenset()})
+        key_map = _single_key_map(quads[0], b"k1")
         summary = create_file_summary(quads, SRC, key_map, PARAMS)
-        parsed = FileSummary.from_bytes(summary.to_bytes())
-        assert parsed.source_uri == SRC
+        data = summary.to_bytes()
+        parsed = Summary.from_bytes(data)
+        assert parsed.sources == (SRC,)
         assert parsed.filters() == summary.filters()
-        assert parsed.to_bytes()[:4] == b"PPSF"
+        uri = SRC.encode()
+        header = b"PPAS\x01" + (1).to_bytes(4, "little") + len(uri).to_bytes(4, "little") + uri
+        assert data == header + b"".join(f.to_bytes() for f in summary.filters())
+
+
+def _dump(m=64, ms=None):
+    filters = [BloomFilter(AmfParams(m=x, h=3)) for x in (ms or [m] * 4)]
+    return Summary(*filters, sources=(SRC,)).to_bytes()
+
+
+def _count_header(count):
+    return b"PPAS\x01" + count.to_bytes(4, "little")
+
+
+def _patched(pos, value):
+    data = bytearray(_dump())
+    data[pos] = value
+    return bytes(data)
+
+
+URI_AT = 13  # first byte of the first source URI
+RECORD_AT = URI_AT + len(SRC)  # first byte of the subject filter record
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (_dump() + b"\x00", "trailing"),
+            (_patched(URI_AT, 0xFF), "UTF-8"),
+            (_count_header(2) + _dump()[9:], "truncated"),
+            (_dump()[:4], "truncated"),
+            (_dump()[:5], "truncated"),
+            (BloomFilter(PARAMS).to_bytes(), "summary magic"),
+            (_dump(ms=[64, 128, 64, 64]), "different parameters"),
+            (_count_header(2**20), "source count"),
+            (_count_header(2**32 - 1), "source count"),
+            (_dump(m=12)[:-1] + b"\xf0", "beyond m"),
+            (_patched(RECORD_AT + 5, 2), "filter parameters"),
+            (_patched(RECORD_AT + 6, 0), "filter parameters"),
+            (_patched(RECORD_AT + 8, 4), "filter parameters"),
+        ],
+        ids=[
+            "trailing-junk", "bad-utf8-uri", "wrong-source-count", "cut-after-4",
+            "cut-after-5", "filter-dump-alone", "mixed-m", "claims-2^20-sources",
+            "claims-2^32-1-sources", "padding-bits", "hash-alg-2", "h-0", "m-4",
+        ],
+    )
+    def test_each_defect_raises_format_error(self, data, message):
+        with pytest.raises(FormatError, match=message):
+            Summary.from_bytes(data)
+
+    def test_format_error_is_a_value_error(self):
+        assert issubclass(FormatError, ValueError)
+
+
+@st.composite
+def summaries(draw):
+    params = AmfParams(m=draw(st.integers(8, 100)), h=draw(st.integers(1, 4)))
+    filters = []
+    for _ in COMPONENTS:
+        f = BloomFilter(params)
+        for j in draw(st.lists(st.integers(0, params.m - 1), max_size=12)):
+            f.bits[j >> 3] |= 1 << (j & 7)
+        filters.append(f)
+    sources = draw(st.lists(st.text(max_size=10), max_size=3))
+    return Summary(*filters, sources=tuple(sources))
+
+
+NON_ASCII = Summary(*[BloomFilter(AmfParams(m=12, h=2))] * 4, sources=("ü", "€", "😀", ""))
+
+
+class TestWireProperties:
+    @settings(deadline=None)
+    @given(summaries())
+    @example(NON_ASCII)
+    def test_round_trip_is_byte_identical(self, summary):
+        data = summary.to_bytes()
+        parsed = Summary.from_bytes(data)
+        assert parsed.sources == summary.sources
+        assert parsed.filters() == summary.filters()
+        assert parsed.to_bytes() == data
+
+    @settings(deadline=None, max_examples=50)
+    @given(summaries(), st.integers(1, 255), st.integers(0, 255))
+    @example(NON_ASCII, 0x80, 0)
+    def test_damaged_dumps_fail_only_with_format_error(self, summary, flip, extra):
+        data = summary.to_bytes()
+        for end in range(len(data)):
+            with pytest.raises(FormatError):
+                Summary.from_bytes(data[:end])
+        with pytest.raises(FormatError, match="trailing"):
+            Summary.from_bytes(data + bytes([extra]))
+        for i in range(len(data)):
+            damaged = data[:i] + bytes([data[i] ^ flip]) + data[i + 1 :]
+            try:
+                Summary.from_bytes(damaged)
+            except FormatError:
+                pass
 
 
 class TestFileSummary:
@@ -179,6 +293,7 @@ class TestFileSummary:
         quad = Quad(iri("urn:s"), iri("urn:p"), literal("o"))
         summary = create_file_summary([quad], SRC, PolicyKeyMap({quad: frozenset()}), PARAMS)
         assert all(f.popcount == 0 for f in summary.filters())
+        assert summary.sources == (SRC,)
 
     def test_covered_quads_probe_positive_per_component(self):
         quad = Quad(iri("urn:s"), iri("urn:p"), literal("o"))
@@ -203,20 +318,35 @@ def _single_key_map(quad, key):
 
 class TestEstimate:
     def test_empty_filter_never_false_positive(self):
-        assert false_positive_estimate(PARAMS, 0) == 0.0
+        assert false_positive_rate(PARAMS, 0) == 0.0
+        assert BloomFilter(PARAMS).estimated_fpr == 0.0
 
     def test_matches_spelled_out_formula(self):
         params = AmfParams(m=16384, h=11)
         by_hand = (1.0 - math.exp(-11 * (2 * 500) / 16384)) ** 11
-        assert false_positive_estimate(params, 500) == pytest.approx(by_hand, rel=1e-12)
         assert false_positive_rate(params, 1000) == pytest.approx(by_hand, rel=1e-12)
+        f = BloomFilter(params)
+        for i in range(500):
+            summary_add(f, iri(f"urn:x:{i}"), b"k", SRC)
+        assert f.estimated_fpr == (f.popcount / 16384) ** 11
+        # the fill estimate tracks the analytic rate for distinct elements
+        assert f.estimated_fpr == pytest.approx(by_hand, rel=0.25)
+
+    def test_fill_estimate_ignores_repeated_adds(self):
+        f = BloomFilter(PARAMS)
+        for _ in range(100):
+            summary_add(f, iri("urn:x"), b"k", SRC)
+        once = BloomFilter(PARAMS)
+        summary_add(once, iri("urn:x"), b"k", SRC)
+        assert f.estimated_fpr == once.estimated_fpr
+        assert ExactFilter(PARAMS).estimated_fpr == 0.0
 
     def test_monotone_in_inserts_and_size(self):
-        assert false_positive_estimate(PARAMS, 100) < false_positive_estimate(PARAMS, 200)
-        assert false_positive_estimate(AmfParams(m=8192, h=5), 100) < false_positive_estimate(
-            AmfParams(m=4096, h=5), 100
+        assert false_positive_rate(PARAMS, 200) < false_positive_rate(PARAMS, 400)
+        assert false_positive_rate(AmfParams(m=8192, h=5), 200) < false_positive_rate(
+            AmfParams(m=4096, h=5), 200
         )
 
     def test_negative_inserts_rejected(self):
         with pytest.raises(ValueError):
-            false_positive_estimate(PARAMS, -1)
+            false_positive_rate(PARAMS, -1)
