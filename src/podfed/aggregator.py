@@ -6,9 +6,11 @@ aggregator only ever handles source URIs and serialized summaries; raw
 quads, policies and keys never cross its interface, which is what lets it
 stay untrusted.
 
-Bitmap union is not invertible, so a change to one source triggers a
-recombination over all cached file summaries. Maintenance is notification
-driven, plus an explicit full rescan.
+Bitmap union is not invertible, so a change to one source is patched in:
+only the bits the source's old filter set and its new one does not can
+clear, and just those bytes are re-read from the other sources' cached
+file summaries (``summary_patch``). Maintenance is notification driven,
+plus an explicit full rescan that recombines from scratch.
 """
 
 from __future__ import annotations
@@ -24,12 +26,24 @@ from .summary import (
     FilterFactory,
     ParamsMismatchError,
     Summary,
-    summary_combine,
+    summary_combine,  # noqa: F401  (kept at this name: perfbench's tracer wraps it)
+    summary_patch,
+    summary_union,
 )
 
 SourceList = tuple[str, ...]
 
 FetchSummary = Callable[[str], Summary]
+
+
+def _checked(uri: str, summary: Summary, empty) -> Summary:
+    """``summary`` if each of its filters has ``empty``'s type and parameters."""
+    for f in summary.filters():
+        if type(f) is not type(empty) or f.params != empty.params:
+            raise ParamsMismatchError(
+                f"source {uri}: cannot combine incompatible summaries: {f!r} vs {empty!r}"
+            )
+    return summary
 
 
 def create_aggregated_summary(
@@ -45,14 +59,12 @@ def create_aggregated_summary(
     offending source named (no cross-parameter merge is attempted).
     """
     ordered = tuple(dict.fromkeys(sources))
-    filters = {name: filter_cls(params) for name in COMPONENTS}
-    for uri in ordered:
-        file_summary = fetch(uri)
-        for name in COMPONENTS:
-            try:
-                filters[name] = summary_combine(filters[name], file_summary.component(name))
-            except ParamsMismatchError as exc:
-                raise ParamsMismatchError(f"source {uri}: {exc}") from None
+    empty = filter_cls(params)
+    summaries = [_checked(uri, fetch(uri), empty) for uri in ordered]
+    filters = {
+        name: summary_union(empty, *(s.component(name) for s in summaries))
+        for name in COMPONENTS
+    }
     return Summary(**filters, sources=ordered), ordered
 
 
@@ -66,9 +78,10 @@ class Aggregator:
     """Maintains the combined summary and source list for one federation.
 
     Readers always see a consistent (summary, sources, generation)
-    snapshot; updates recombine and swap the snapshot atomically. If a
-    source cannot be re-fetched the previous summary is kept and the
-    source is flagged stale rather than dropped.
+    snapshot; updates build new filters and swap the snapshot atomically.
+    If a source cannot be re-fetched, or returns a summary with other
+    parameters, the previous summary is kept and the source is flagged
+    stale rather than dropped.
     """
 
     def __init__(
@@ -81,6 +94,7 @@ class Aggregator:
         self._fetch = fetch
         self._params = params
         self._filter_cls = filter_cls
+        self._empty = filter_cls(params)
         self._lock = threading.Lock()
         self._cache: dict[str, Summary] = {}
         ordered = tuple(dict.fromkeys(sources))
@@ -95,19 +109,39 @@ class Aggregator:
         combined.generation = generation
         return combined
 
+    def _refetch(self, uri: str) -> Summary | None:
+        """The source's new summary, or None when the fetch fails or the
+        summary cannot be combined with the others (fail closed)."""
+        try:
+            return _checked(uri, self._fetch(uri), self._empty)
+        except Exception:
+            return None
+
     def on_source_changed(self, uri: str):
-        """Re-fetch one source's summary and recombine over all sources."""
+        """Re-fetch one source's summary and patch it into the combination."""
         with self._lock:
             snap = self._snapshot
-            if uri not in snap.summary.sources:
+            combined = snap.summary
+            if uri not in combined.sources:
                 raise KeyError(f"source {uri!r} is not aggregated here")
-            try:
-                self._cache[uri] = self._fetch(uri)
-            except Exception:
-                self._snapshot = _Snapshot(snap.summary, snap.stale | {uri})
+            new = self._refetch(uri)
+            if new is None:
+                self._snapshot = _Snapshot(combined, snap.stale | {uri})
                 return
+            old = self._cache[uri]
+            others = [s for u, s in self._cache.items() if u != uri]
+            filters = {
+                name: summary_patch(
+                    combined.component(name),
+                    old.component(name),
+                    new.component(name),
+                    [s.component(name) for s in others],
+                )
+                for name in COMPONENTS
+            }
+            self._cache[uri] = new
             self._snapshot = _Snapshot(
-                self._recombine(snap.summary.sources, snap.summary.generation + 1),
+                Summary(**filters, sources=combined.sources, generation=combined.generation + 1),
                 snap.stale - {uri},
             )
 
@@ -118,11 +152,12 @@ class Aggregator:
             sources = snap.summary.sources
             stale = set(snap.stale)
             for uri in sources:
-                try:
-                    self._cache[uri] = self._fetch(uri)
-                    stale.discard(uri)
-                except Exception:
+                new = self._refetch(uri)
+                if new is None:
                     stale.add(uri)
+                else:
+                    self._cache[uri] = new
+                    stale.discard(uri)
             self._snapshot = _Snapshot(
                 self._recombine(sources, snap.summary.generation + 1), frozenset(stale)
             )

@@ -64,11 +64,21 @@ class ChangeNotification:
 ChangeListener = Callable[[ChangeNotification], None]
 
 
+@dataclass(frozen=True)
+class _PodState:
+    """Every file plus the key map derived from them, swapped as one object
+    so a reader never pairs one generation's quads with another's keys."""
+
+    files: Mapping[str, PodFile]
+    key_map: PolicyKeyMap
+
+
 class Pod:
     """Access-controlled quad file store with per-file summaries.
 
     Reads (execute_query, get_file_summary) see a consistent snapshot;
-    update_file swaps file, key map and summary atomically under a lock.
+    update_file swaps files, key map and summaries in one assignment under
+    a lock.
     """
 
     def __init__(
@@ -96,14 +106,17 @@ class Pod:
         self.filter_cls = filter_cls
         self._lock = threading.Lock()
         self._listeners: list[ChangeListener] = []
-        self._files: dict[str, PodFile] = {}
-        self.key_map: PolicyKeyMap = PolicyKeyMap({})
+        self._state = _PodState({}, PolicyKeyMap({}))
         self._rebuild({uri: tuple(quads) for uri, quads in files.items()})
 
     # --- construction / maintenance ---------------------------------------
 
-    def _rebuild(self, contents: dict[str, tuple[Quad, ...]]):
-        """Recompute the key map and every file summary from scratch."""
+    def _rebuild(self, contents: dict[str, tuple[Quad, ...]], written: str | None = None):
+        """Recompute the key map, then summarise the ``written`` file again,
+        and every other file whose quads the new key map gives other
+        (policy, key) pairs; the rest keep their summaries.
+
+        Files other than ``written`` must have the quads they had before."""
         key_map = create_access_keys(contents, self.policies, self.keystore)
         uncovered = [q for q in key_map.quads() if not key_map.permit_keys_for(q)]
         if uncovered:
@@ -113,21 +126,25 @@ class Pod:
                 self.owner_webid,
                 len(uncovered),
             )
-        files = {
-            uri: PodFile(
-                uri,
-                quads,
-                create_file_summary(quads, uri, key_map, self.params, self.filter_cls),
-            )
-            for uri, quads in contents.items()
-        }
-        self.key_map = key_map
-        self._files = files
+        previous = self._state
+        files = {}
+        for uri, quads in contents.items():
+            f = previous.files.get(uri)
+            if (
+                f is None
+                or uri == written
+                or any(key_map.pairs_for(q) != previous.key_map.pairs_for(q) for q in quads)
+            ):
+                summary = create_file_summary(quads, uri, key_map, self.params, self.filter_cls)
+                f = PodFile(uri, quads, summary)
+            files[uri] = f
+        self._state = _PodState(files, key_map)
 
     def rebuild_access_state(self):
-        """Re-derive keys and regenerate all summaries, e.g. after key rotation."""
+        """Re-derive keys and regenerate the summaries they changed, e.g.
+        after key rotation."""
         with self._lock:
-            self._rebuild({uri: f.quads for uri, f in self._files.items()})
+            self._rebuild({uri: f.quads for uri, f in self._state.files.items()})
 
     def add_change_listener(self, listener: ChangeListener):
         self._listeners.append(listener)
@@ -135,14 +152,18 @@ class Pod:
     # --- interface --------------------------------------------------------
 
     @property
+    def key_map(self) -> PolicyKeyMap:
+        return self._state.key_map
+
+    @property
     def file_uris(self) -> tuple[str, ...]:
-        return tuple(self._files)
+        return tuple(self._state.files)
 
     def file_quads(self, uri: str) -> tuple[Quad, ...]:
         return self._file(uri).quads
 
-    def _file(self, uri: str) -> PodFile:
-        f = self._files.get(uri)
+    def _file(self, uri: str, state: _PodState | None = None) -> PodFile:
+        f = (state or self._state).files.get(uri)
         if f is None:
             raise UnknownFileError(f"pod {self.owner_webid} has no file {uri!r}")
         return f
@@ -158,7 +179,8 @@ class Pod:
         A client that presents credentials which fail verification gets an
         empty result, indistinguishable from a denial.
         """
-        f = self._file(file_uri)
+        state = self._state
+        f = self._file(file_uri, state)
         if identity is not None and not self._verified(identity):
             return set()
         return {
@@ -166,7 +188,7 @@ class Pod:
             for quad in f.quads
             if pattern_matches(pattern, quad)
             and allowed_access(
-                self.key_map.pairs_for(quad), identity, self.conflict_strategy
+                state.key_map.pairs_for(quad), identity, self.conflict_strategy
             )
         }
 
@@ -178,15 +200,16 @@ class Pod:
         aggregators.
 
         The key map and the file's summary are regenerated before readers
-        can observe the new quads. Files cannot be added this way, since no
-        federation routes or aggregates them; an unknown URI raises
-        UnknownFileError.
+        can observe the new quads; other files keep their summaries unless
+        the new contents change the (policy, key) pairs of their quads.
+        Files cannot be added this way, since no federation routes or
+        aggregates them; an unknown URI raises UnknownFileError.
         """
         with self._lock:
             self._file(file_uri)
-            contents = {uri: f.quads for uri, f in self._files.items()}
+            contents = {uri: f.quads for uri, f in self._state.files.items()}
             contents[file_uri] = tuple(quads)
-            self._rebuild(contents)
+            self._rebuild(contents, written=file_uri)
         notification = ChangeNotification(self.owner_webid, file_uri)
         for listener in self._listeners:
             listener(notification)

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
+import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,6 +33,11 @@ HASH_SHA256 = 1
 FILTER_MAGIC = b"PPFS"
 SUMMARY_MAGIC = b"PPAS"
 FORMAT_VERSION = 1
+
+# Above this many probes a single lookup costs more than any sane filter
+# needs (the optimum for a 2^-30 false-positive rate is h=30), and a
+# hostile record could make every probe of it arbitrarily slow.
+MAX_PROBES = 64
 
 
 class ParamsMismatchError(ValueError):
@@ -52,8 +59,8 @@ class AmfParams:
     def __post_init__(self):
         if self.m < 8:
             raise ValueError(f"bitmap must have at least 8 bits, got m={self.m}")
-        if self.h < 1:
-            raise ValueError(f"need at least one hash probe, got h={self.h}")
+        if not 1 <= self.h <= MAX_PROBES:
+            raise ValueError(f"need 1 to {MAX_PROBES} hash probes, got h={self.h}")
         if self.hash_alg != HASH_SHA256:
             raise ValueError(f"unsupported hash algorithm id {self.hash_alg}")
 
@@ -145,7 +152,7 @@ class ExactFilter:
     """Exact-membership stand-in for a Bloom filter, used as a test oracle.
 
     Same interface, zero false positives: it simply remembers every inserted
-    digest. Not serializable.
+    digest. It has no binary form: ``to_bytes`` raises TypeError.
     """
 
     __slots__ = ("params", "digests")
@@ -179,6 +186,9 @@ class ExactFilter:
     def __repr__(self) -> str:
         return f"ExactFilter(entries={len(self.digests)})"
 
+    def to_bytes(self) -> bytes:
+        raise TypeError("an ExactFilter is a test oracle and has no binary form")
+
 
 FilterFactory = Callable[[AmfParams], "BloomFilter | ExactFilter"]
 
@@ -203,20 +213,73 @@ def summary_contains(f, term: Term, key: AccessKey, source_uri: str) -> bool:
     return f.contains_digest(encode_element(canonical_bytes(term), key, source_uri))
 
 
+def _require_compatible(a, b):
+    if type(a) is not type(b) or a.params != b.params:
+        raise ParamsMismatchError(f"cannot combine incompatible summaries: {a!r} vs {b!r}")
+
+
+def summary_union(first, *rest):
+    """Union of one or more filters sharing parameters (and filter type),
+    folded in one pass: one int accumulator and one conversion back to
+    bytes, however many filters there are."""
+    for f in rest:
+        _require_compatible(first, f)
+    if isinstance(first, ExactFilter):
+        return ExactFilter(first.params, first.digests.union(*(f.digests for f in rest)))
+    acc = int.from_bytes(first.bits, "little")
+    for f in rest:
+        acc |= int.from_bytes(f.bits, "little")
+    return BloomFilter(first.params, bytearray(acc.to_bytes(len(first.bits), "little")))
+
+
 def summary_combine(a, b):
     """Union of two filters; must share parameters (and filter type).
 
     Commutative, associative, idempotent, and equal to a filter built by
     adding both element multisets directly.
     """
-    if type(a) is not type(b) or a.params != b.params:
-        raise ParamsMismatchError(
-            f"cannot combine incompatible summaries: {a!r} vs {b!r}"
-        )
-    if isinstance(a, ExactFilter):
-        return ExactFilter(a.params, a.digests | b.digests)
-    merged = int.from_bytes(a.bits, "little") | int.from_bytes(b.bits, "little")
-    return BloomFilter(a.params, bytearray(merged.to_bytes(len(a.bits), "little")))
+    return summary_union(a, b)
+
+
+_NONZERO_BYTE = re.compile(rb"[^\x00]")
+
+
+def summary_patch(combined, old, new, others: Sequence):
+    """The union ``combined`` with one source's filter ``old`` replaced by
+    ``new``, where ``others`` are the filters of every other source.
+
+    ``combined`` must equal the union of ``old`` and ``others``; the result
+    then equals the union of ``new`` and ``others``, bit for bit. Only the
+    bits ``D = old & ~new`` can clear, so the result is
+    ``(combined & ~D) | new | (D & union(others))``, and the other sources
+    are read only at the bytes where D is nonzero. (Their bits outside D
+    are already in ``combined & ~D``, so those bytes are ORed in whole.)
+    No argument is mutated.
+    """
+    _require_compatible(combined, old)
+    _require_compatible(combined, new)
+    if isinstance(combined, ExactFilter):
+        dropped = old.digests - new.digests
+        kept = set()
+        for f in others:
+            kept |= dropped & f.digests
+        return ExactFilter(combined.params, (combined.digests - dropped) | new.digests | kept)
+    nbytes = len(combined.bits)
+    new_int = int.from_bytes(new.bits, "little")
+    dropped = int.from_bytes(old.bits, "little") & ~new_int
+    merged = (int.from_bytes(combined.bits, "little") & ~dropped) | new_int
+    bits = bytearray(merged.to_bytes(nbytes, "little"))
+    if dropped:
+        where = [m.start() for m in _NONZERO_BYTE.finditer(dropped.to_bytes(nbytes, "little"))]
+        gather = operator.itemgetter(*where)
+        kept = 0
+        for f in others:
+            got = gather(f.bits)
+            # with one index itemgetter returns the byte itself, not a tuple
+            kept |= int.from_bytes(bytes((got,) if len(where) == 1 else got), "little")
+        for i, byte in zip(where, kept.to_bytes(len(where), "little")):
+            bits[i] |= byte
+    return BloomFilter(combined.params, bits)
 
 
 @dataclass

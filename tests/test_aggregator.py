@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from podfed.aggregator import Aggregator, create_aggregated_summary
 from podfed.experiments import aggregator_interface_is_opaque
@@ -8,12 +10,15 @@ from podfed.summary import (
     ANY_SOURCE,
     AmfParams,
     BloomFilter,
+    ExactFilter,
     FormatError,
     ParamsMismatchError,
     Summary,
     create_file_summary,
     summary_add,
     summary_contains,
+    summary_patch,
+    summary_union,
 )
 
 PARAMS = AmfParams(m=4096, h=5)
@@ -117,6 +122,30 @@ class TestAggregator:
         assert not agg.stale_sources
         assert agg.generation == 1
 
+    def test_incompatible_refetch_keeps_stale_snapshot(self, store):
+        agg = Aggregator(store.__getitem__, [SRC_A, SRC_B], PARAMS)
+        before = agg.snapshot()[0]
+        old_a = store[SRC_A]
+        for bad in (file_summary(SRC_A, QUAD_B, params=AmfParams(m=8192, h=5)),
+                    Summary(*[ExactFilter(PARAMS)] * 4, sources=(SRC_A,))):
+            store[SRC_A] = bad
+            agg.on_source_changed(SRC_A)
+            assert agg.stale_sources == {SRC_A}
+            assert agg.generation == 0
+            assert agg.snapshot()[0] is before
+        # other sources keep updating, against the last good summary of SRC_A
+        store[SRC_B] = file_summary(SRC_B, QUAD_A)
+        agg.on_source_changed(SRC_B)
+        assert agg.stale_sources == {SRC_A}
+        assert agg.generation == 1
+        fresh, _ = create_aggregated_summary(
+            [SRC_A, SRC_B], {SRC_A: old_a, SRC_B: store[SRC_B]}.__getitem__, PARAMS
+        )
+        assert agg.snapshot()[0].filters() == fresh.filters()
+        agg.full_rescan()
+        assert agg.stale_sources == {SRC_A}
+        assert agg.snapshot()[0].filters() == fresh.filters()
+
     def test_full_rescan(self, store):
         agg = Aggregator(store.__getitem__, [SRC_A, SRC_B], PARAMS)
         new_quad = Quad(iri("urn:s:scan"), iri("urn:p"), literal("x"))
@@ -126,6 +155,80 @@ class TestAggregator:
         assert summary_contains(
             agg.snapshot()[0].component("subject"), iri("urn:s:scan"), b"", SRC_B
         )
+
+
+SMALL = AmfParams(m=64, h=1)
+
+
+def raw_summary(uri, filter_cls, positions):
+    """A summary whose four filters hold exactly ``positions``: bit numbers
+    for a BloomFilter, one-byte digests for an ExactFilter."""
+    filters = []
+    for _ in COMPONENTS:
+        f = filter_cls(SMALL)
+        for j in positions:
+            if filter_cls is BloomFilter:
+                f.bits[j >> 3] |= 1 << (j & 7)
+            else:
+                f.digests.add(bytes([j]))
+        filters.append(f)
+    return Summary(*filters, sources=(uri,))
+
+
+SOURCES = [f"urn:src:{i}" for i in range(4)]
+contents = st.frozensets(st.integers(0, SMALL.m - 1), max_size=10)
+# an update writes new contents, empties the file, or returns the very
+# summary object the aggregator already holds
+updates = st.tuples(
+    st.integers(0, len(SOURCES) - 1),
+    st.one_of(contents, st.just(frozenset()), st.just("same")),
+)
+
+
+class TestDeltaPatch:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.sampled_from([BloomFilter, ExactFilter]),
+        st.lists(contents, min_size=len(SOURCES), max_size=len(SOURCES)),
+        st.lists(updates, max_size=12),
+    )
+    def test_every_generation_equals_a_full_recombination(self, filter_cls, initial, steps):
+        store = {uri: raw_summary(uri, filter_cls, c) for uri, c in zip(SOURCES, initial)}
+        agg = Aggregator(store.__getitem__, SOURCES, SMALL, filter_cls)
+        fetched = {uri: [(s, [f.copy() for f in s.filters()])] for uri, s in store.items()}
+        for generation, (i, change) in enumerate(steps, start=1):
+            uri = SOURCES[i]
+            if change != "same":
+                store[uri] = raw_summary(uri, filter_cls, change)
+                fetched[uri].append((store[uri], [f.copy() for f in store[uri].filters()]))
+            before = agg.snapshot()[0]
+            agg.on_source_changed(uri)
+            combined = agg.snapshot()[0]
+            fresh, _ = create_aggregated_summary(SOURCES, store.__getitem__, SMALL, filter_cls)
+            assert combined.generation == generation
+            assert combined.sources == fresh.sources
+            assert combined.filters() == fresh.filters()
+            assert all(new is not old for new, old in zip(combined.filters(), before.filters()))
+        for versions in fetched.values():
+            for summary, copies in versions:
+                assert summary.filters() == copies
+
+    @pytest.mark.parametrize("filter_cls", [BloomFilter, ExactFilter])
+    def test_single_nonzero_byte_in_the_delta(self, filter_cls):
+        # old sets bits 3 and 4 (both in byte 0), new keeps only 4: one byte
+        # of D is nonzero, so the gather sees a single index
+        old = raw_summary(SOURCES[0], filter_cls, {3, 4}).subject
+        new = raw_summary(SOURCES[0], filter_cls, {4}).subject
+        others = [raw_summary(SOURCES[1], filter_cls, {3, 40}).subject,
+                  raw_summary(SOURCES[2], filter_cls, {9}).subject]
+        for kept in ([], others):
+            combined = summary_union(old, *kept)
+            assert summary_patch(combined, old, new, kept) == summary_union(new, *kept)
+
+    def test_incompatible_new_filter_is_rejected(self):
+        combined = BloomFilter(SMALL)
+        with pytest.raises(ParamsMismatchError):
+            summary_patch(combined, combined, BloomFilter(AmfParams(m=128, h=1)), [])
 
 
 class TestSerialization:

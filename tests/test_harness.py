@@ -82,6 +82,7 @@ class TestValidation:
             ("bogus_section: {}\n", "document: unknown field"),
             ("params: {m: 4, h: 5}\n", "params:"),
             ("params: {m: 4096, h: 5, extra: 1}\n", "params: unknown field"),
+            ("params: {m: 4096, h: 65}\n", "params: need 1 to 64 hash probes"),
             (
                 "pods:\n  - owner: urn:o\n    groups:\n      friends: [urn:a]\n",
                 "pods[0].groups.friends",
@@ -231,6 +232,13 @@ class TestFederationPlumbing:
 
         filter_bytes = fed.dump_component_filter(BOB_PROFILE, "predicate")
         assert filter_bytes[:4] == b"PPFS"
+
+    def test_exact_filters_refuse_to_dump(self, fed_exact):
+        for dump in (fed_exact.dump_combined_summary,
+                     lambda: fed_exact.dump_file_summary(BOB_PROFILE),
+                     lambda: fed_exact.dump_component_filter(BOB_PROFILE, "subject")):
+            with pytest.raises(TypeError, match="no binary form"):
+                dump()
 
     def test_queries_about_unserved_files_fail_soft(self, fed):
         from podfed.client import query_sources

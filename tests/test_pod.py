@@ -1,7 +1,10 @@
 import logging
+import sys
+import threading
 
 import pytest
 
+import podfed.pod
 from podfed.pod import Pod, UnknownFileError
 from podfed.policy import (
     PERMIT,
@@ -200,3 +203,100 @@ class TestUpdates:
             summary_contains(summary.component("predicate"), iri("urn:v:telephone"), key, FILE)
             for key in (PUBLIC_KEY, *friend_keys)
         )
+
+
+OTHER = "urn:pod:other"
+OTHER_Q = Quad(iri(OWNER), iri("urn:v:nick"), literal("o"))
+
+
+class TestIncrementalRebuild:
+    def two_file_pod(self):
+        everyone = SubjectGroup(OWNER, TIER_EVERYONE)
+        friends = SubjectGroup(OWNER, TIER_FRIENDS, frozenset({FRIEND}))
+        policies = [
+            AccessPolicy(id="tel-friends", subject_group=friends, effect=PERMIT, file_uri=FILE),
+            AccessPolicy(id="other-pub", subject_group=everyone, effect=PERMIT, file_uri=OTHER),
+        ]
+        return make_pod(policies=policies, files={FILE: [TEL_Q], OTHER: [OTHER_Q]})
+
+    @pytest.fixture
+    def summarised(self, monkeypatch):
+        calls = []
+        original = podfed.pod.create_file_summary
+
+        def counting(quads, uri, *args, **kwargs):
+            calls.append(uri)
+            return original(quads, uri, *args, **kwargs)
+
+        monkeypatch.setattr(podfed.pod, "create_file_summary", counting)
+        return calls
+
+    def test_update_summarises_only_the_written_file(self, summarised):
+        pod = self.two_file_pod()
+        untouched = pod.get_file_summary(OTHER)
+        summarised.clear()
+        pod.update_file(FILE, [TEL_Q, NAME_Q])
+        assert summarised == [FILE]
+        assert pod.get_file_summary(OTHER) is untouched
+
+    def test_rotation_resummarises_the_rotated_files(self, summarised):
+        pod = self.two_file_pod()
+        before = {uri: pod.get_file_summary(uri) for uri in (FILE, OTHER)}
+        summarised.clear()
+        pod.keystore.rotate(pod.policies[0])
+        pod.rebuild_access_state()
+        assert summarised == [FILE]
+        assert pod.get_file_summary(FILE).to_bytes() != before[FILE].to_bytes()
+        assert pod.get_file_summary(OTHER) is before[OTHER]
+
+    def test_shared_quad_resummarises_the_file_whose_keys_changed(self, summarised):
+        # the key map is keyed by quad: writing OTHER_Q into FILE gives the
+        # copy in OTHER the friends key too, so OTHER's summary must change
+        pod = self.two_file_pod()
+        before = pod.get_file_summary(OTHER).to_bytes()
+        summarised.clear()
+        pod.update_file(FILE, [TEL_Q, OTHER_Q])
+        assert sorted(summarised) == sorted([FILE, OTHER])
+        assert pod.get_file_summary(OTHER).to_bytes() != before
+
+
+class TestConcurrentReaders:
+    def test_readers_never_see_torn_state(self):
+        # every quad is readable only through the key map built with it, so a
+        # reader pairing one version's quads with the other's map gets nothing
+        open_policy = AccessPolicy(id="all-pub", subject_group=SubjectGroup(OWNER, TIER_EVERYONE),
+                                   effect=PERMIT, file_uri=FILE)
+        versions = [(NAME_Q,), (TEL_Q, OTHER_Q)]
+        pod = make_pod(policies=[open_policy], files={FILE: versions[0]})
+        answers = [set(v) for v in versions]
+        bad, reads, stop = [], [0], threading.Event()
+
+        def reader():
+            while not stop.is_set():
+                result = pod.execute_query(None, ALL, FILE)
+                reads[0] += 1
+                if result not in answers:
+                    bad.append(result)
+
+        def writer():
+            for i in range(1000):
+                pod.update_file(FILE, versions[i % 2 - 1])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=reader) for _ in range(3)]
+            for t in readers:
+                t.start()
+            w = threading.Thread(target=writer)
+            w.start()
+            w.join(timeout=60)
+            stop.set()
+            for t in readers:
+                t.join(timeout=10)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not w.is_alive() and not any(t.is_alive() for t in readers)
+        assert reads[0] > 0
+        assert not bad, bad[:3]

@@ -21,6 +21,7 @@ from podfed.summary import (
     summary_add,
     summary_combine,
     summary_contains,
+    summary_union,
 )
 
 PARAMS = AmfParams(m=4096, h=5)
@@ -39,6 +40,11 @@ class TestParams:
             AmfParams(m=4096, h=0)
         with pytest.raises(ValueError):
             AmfParams(m=4096, h=5, hash_alg=2)
+
+    def test_probe_count_is_capped(self):
+        assert AmfParams(m=4096, h=64).h == 64
+        with pytest.raises(ValueError, match="1 to 64"):
+            AmfParams(m=4096, h=65)
 
 
 class TestMembership:
@@ -130,6 +136,20 @@ class TestCombine:
         b = self.build(b_elems, ExactFilter)
         assert summary_combine(a, b) == self.build(a_elems + b_elems, ExactFilter)
 
+    def test_union_of_many_equals_pairwise_fold(self):
+        rng = random.Random(80)
+        for filter_cls in (BloomFilter, ExactFilter):
+            parts = [self.build(self.elements(rng, rng.randrange(0, 20)), filter_cls)
+                     for _ in range(6)]
+            folded = filter_cls(PARAMS)
+            for f in parts:
+                folded = summary_combine(folded, f)
+            assert summary_union(filter_cls(PARAMS), *parts) == folded
+            assert summary_union(parts[0]) == parts[0]
+            assert summary_union(parts[0]) is not parts[0]
+        with pytest.raises(ParamsMismatchError):
+            summary_union(BloomFilter(PARAMS), BloomFilter(PARAMS), ExactFilter(PARAMS))
+
     def test_mismatched_params_rejected(self):
         with pytest.raises(ParamsMismatchError):
             summary_combine(
@@ -171,6 +191,13 @@ class TestSerialization:
             assert data[offset + i * size : offset + (i + 1) * size] == g.to_bytes()
         assert Summary.from_bytes(data).filters() == summary.filters()
 
+    def test_exact_filters_have_no_binary_form(self):
+        f = ExactFilter(PARAMS)
+        with pytest.raises(TypeError, match="no binary form"):
+            f.to_bytes()
+        with pytest.raises(TypeError, match="no binary form"):
+            Summary(f, f, f, f, sources=(SRC,)).to_bytes()
+
     def test_filter_rejects_bad_magic_and_truncation(self):
         data = Summary(*[BloomFilter(PARAMS)] * 4, sources=(SRC,)).to_bytes()
         offset = 13 + len(SRC)  # first filter record
@@ -207,6 +234,16 @@ def _patched(pos, value):
     return bytes(data)
 
 
+def _with_probes(h, full=False):
+    """A dump whose first filter record claims ``h`` probes (bitmap all ones
+    with ``full``, so every probe of it would run all h rounds)."""
+    data = bytearray(_dump())
+    data[RECORD_AT + 6 : RECORD_AT + 8] = h.to_bytes(2, "little")
+    if full:
+        data[RECORD_AT + 16 : RECORD_AT + 24] = b"\xff" * 8
+    return bytes(data)
+
+
 URI_AT = 13  # first byte of the first source URI
 RECORD_AT = URI_AT + len(SRC)  # first byte of the subject filter record
 
@@ -228,11 +265,14 @@ class TestHostileInput:
             (_patched(RECORD_AT + 5, 2), "filter parameters"),
             (_patched(RECORD_AT + 6, 0), "filter parameters"),
             (_patched(RECORD_AT + 8, 4), "filter parameters"),
+            (_with_probes(65), "filter parameters"),
+            (_with_probes(65535, full=True), "filter parameters"),
         ],
         ids=[
             "trailing-junk", "bad-utf8-uri", "wrong-source-count", "cut-after-4",
             "cut-after-5", "filter-dump-alone", "mixed-m", "claims-2^20-sources",
             "claims-2^32-1-sources", "padding-bits", "hash-alg-2", "h-0", "m-4",
+            "h-65", "h-65535-full-bitmap",
         ],
     )
     def test_each_defect_raises_format_error(self, data, message):
@@ -241,6 +281,10 @@ class TestHostileInput:
 
     def test_format_error_is_a_value_error(self):
         assert issubclass(FormatError, ValueError)
+
+    def test_largest_probe_count_round_trips(self):
+        f = BloomFilter(AmfParams(m=64, h=64))
+        assert Summary.from_bytes(Summary(f, f, f, f, sources=(SRC,)).to_bytes()).params.h == 64
 
 
 @st.composite
