@@ -191,7 +191,7 @@ def _cmd_rotate(args) -> int:
     fed = _load(args)
     fed.rotate_key(args.policy)
     print(
-        f"rotated key for policy {args.policy}; summaries rebuilt, "
+        f"rotated key for policy {args.policy}; file summary rebuilt, "
         f"combined summary at generation {fed.aggregator.generation}"
     )
     print("note: scenario state is in-memory; rerunning starts fresh")

@@ -129,8 +129,9 @@ def restricted_terms(fed: Federation) -> list[tuple[str, Term, set[bytes]]]:
         for uri in pod.file_uris:
             if uri not in sources:
                 continue
-            for quad in pod.file_quads(uri):
-                permit_keys = pod.key_map.permit_keys_for(quad)
+            key_map = pod.file(uri).key_map
+            for quad in key_map.quads():
+                permit_keys = key_map.permit_keys_for(quad)
                 if not permit_keys:
                     continue
                 for name in COMPONENTS:

@@ -161,20 +161,16 @@ class Federation:
         )
 
     def rotate_key(self, policy_id: str):
-        """Revoke a policy's key: new key, rebuilt summaries, fresh combination.
+        """Revoke a policy's key: new key, the one file it governs rebuilt,
+        and the aggregator patched through the pod's change notification.
 
         Keyrings are derived on demand, so holders of the old key lose
-        access as soon as the affected summaries are rebuilt.
+        access as soon as the file's summary is rebuilt.
         """
         for pod in self.pods:
             for policy in pod.policies:
                 if policy.id == policy_id:
-                    self.keystore.rotate(policy)
-                    pod.rebuild_access_state()
-                    _, sources = self.aggregator.snapshot()
-                    for uri in pod.file_uris:
-                        if uri in sources:
-                            self.aggregator.on_source_changed(uri)
+                    pod.rotate_key(policy)
                     return
         raise KeyError(f"unknown policy {policy_id!r}")
 

@@ -2,9 +2,12 @@
 
 Holds files of quads under the owner's access policies, publishes a
 privacy-preserving summary per file, and enforces the policies quad by
-quad when executing queries. Identity verification is a token-equality
-check against a registry, standing in for real WebID authentication;
-anonymous clients are allowed and match only the everyone tier.
+quad when executing queries. Each policy names one file and governs only
+that file's quads, so every file carries its own key map and summary and
+a write or a key rotation rebuilds only the file it touches. Identity
+verification is a token-equality check against a registry, standing in
+for real WebID authentication; anonymous clients are allowed and match
+only the everyone tier.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .policy import (
@@ -46,10 +50,13 @@ class UnknownFileError(LookupError):
 
 @dataclass(frozen=True)
 class PodFile:
-    """A file snapshot plus its derived summary; replaced wholesale on write."""
+    """A file snapshot with the key map of its own policies and the summary
+    built from both; replaced wholesale on write, so a reader never pairs
+    one version's quads with another version's keys."""
 
     uri: str
     quads: tuple[Quad, ...]
+    key_map: PolicyKeyMap
     summary: Summary
 
 
@@ -66,19 +73,27 @@ ChangeListener = Callable[[ChangeNotification], None]
 
 @dataclass(frozen=True)
 class _PodState:
-    """Every file plus the key map derived from them, swapped as one object
-    so a reader never pairs one generation's quads with another's keys."""
+    """Every file of the pod, swapped as one object on each write."""
 
     files: Mapping[str, PodFile]
-    key_map: PolicyKeyMap
+
+    @cached_property
+    def key_map(self) -> PolicyKeyMap:
+        """Per-quad union of the files' key maps, built on first use."""
+        entries: dict[Quad, frozenset] = {}
+        for f in self.files.values():
+            for quad, pairs in f.key_map.entries.items():
+                entries[quad] = entries.get(quad, frozenset()) | pairs
+        return PolicyKeyMap(entries)
 
 
 class Pod:
     """Access-controlled quad file store with per-file summaries.
 
-    Reads (execute_query, get_file_summary) see a consistent snapshot;
-    update_file swaps files, key map and summaries in one assignment under
-    a lock.
+    Each file is its own unit of access state: its policies, key map and
+    summary. Reads (execute_query, get_file_summary) see a consistent
+    snapshot; a write rebuilds the one file it touches and swaps it in
+    under a lock.
     """
 
     def __init__(
@@ -92,11 +107,13 @@ class Pod:
         conflict_strategy: str = DENY_OVERRIDES,
         filter_cls: FilterFactory = BloomFilter,
     ):
+        self._policies_by_file: dict[str, list[AccessPolicy]] = {uri: [] for uri in files}
         for policy in policies:
             if policy.file_uri not in files:
                 raise ValueError(
                     f"policy {policy.id!r} references unknown file {policy.file_uri!r}"
                 )
+            self._policies_by_file[policy.file_uri].append(policy)
         self.owner_webid = owner_webid
         self.policies = tuple(policies)
         self.identity_registry = dict(identity_registry)
@@ -106,45 +123,43 @@ class Pod:
         self.filter_cls = filter_cls
         self._lock = threading.Lock()
         self._listeners: list[ChangeListener] = []
-        self._state = _PodState({}, PolicyKeyMap({}))
-        self._rebuild({uri: tuple(quads) for uri, quads in files.items()})
+        self._state = _PodState({uri: self._build(uri, tuple(q)) for uri, q in files.items()})
 
     # --- construction / maintenance ---------------------------------------
 
-    def _rebuild(self, contents: dict[str, tuple[Quad, ...]], written: str | None = None):
-        """Recompute the key map, then summarise the ``written`` file again,
-        and every other file whose quads the new key map gives other
-        (policy, key) pairs; the rest keep their summaries.
-
-        Files other than ``written`` must have the quads they had before."""
-        key_map = create_access_keys(contents, self.policies, self.keystore)
-        uncovered = [q for q in key_map.quads() if not key_map.permit_keys_for(q)]
+    def _build(self, uri: str, quads: tuple[Quad, ...]) -> PodFile:
+        """Key and summarise one file under its own policies."""
+        key_map = create_access_keys(uri, quads, self._policies_by_file[uri], self.keystore)
+        uncovered = sum(not key_map.permit_keys_for(q) for q in key_map.quads())
         if uncovered:
             logger.warning(
-                "pod %s: %d quad(s) covered by no permit policy; they are "
-                "stored but inaccessible and left out of summaries",
-                self.owner_webid,
-                len(uncovered),
+                "pod %s, file %s: %d quad(s) covered by no permit policy; they "
+                "are stored but inaccessible and left out of summaries",
+                self.owner_webid, uri, uncovered,
             )
-        previous = self._state
-        files = {}
-        for uri, quads in contents.items():
-            f = previous.files.get(uri)
-            if (
-                f is None
-                or uri == written
-                or any(key_map.pairs_for(q) != previous.key_map.pairs_for(q) for q in quads)
-            ):
-                summary = create_file_summary(quads, uri, key_map, self.params, self.filter_cls)
-                f = PodFile(uri, quads, summary)
-            files[uri] = f
-        self._state = _PodState(files, key_map)
+        summary = create_file_summary(quads, uri, key_map, self.params, self.filter_cls)
+        return PodFile(uri, quads, key_map, summary)
 
-    def rebuild_access_state(self):
-        """Re-derive keys and regenerate the summaries they changed, e.g.
-        after key rotation."""
+    def _rebuild(self, file_uri: str, quads: tuple[Quad, ...] | None = None) -> ChangeNotification:
+        """Rebuild one existing file (with new ``quads``, or its current ones
+        under fresh keys), swap it in and notify the listeners."""
         with self._lock:
-            self._rebuild({uri: f.quads for uri, f in self._state.files.items()})
+            files = dict(self._state.files)
+            current = self.file(file_uri)
+            files[file_uri] = self._build(file_uri, current.quads if quads is None else quads)
+            self._state = _PodState(files)
+        notification = ChangeNotification(self.owner_webid, file_uri)
+        for listener in self._listeners:
+            listener(notification)
+        return notification
+
+    def rotate_key(self, policy: AccessPolicy) -> ChangeNotification:
+        """Revoke one of this pod's policies' key: issue a fresh one, then
+        rebuild and announce the one file the policy governs."""
+        if policy not in self.policies:
+            raise KeyError(f"pod {self.owner_webid} has no policy {policy.id!r}")
+        self.keystore.rotate(policy)
+        return self._rebuild(policy.file_uri)
 
     def add_change_listener(self, listener: ChangeListener):
         self._listeners.append(listener)
@@ -153,20 +168,22 @@ class Pod:
 
     @property
     def key_map(self) -> PolicyKeyMap:
+        """Every file's pairs merged per quad, for inspection only: access
+        decisions and summaries use each file's own ``PodFile.key_map``."""
         return self._state.key_map
 
     @property
     def file_uris(self) -> tuple[str, ...]:
         return tuple(self._state.files)
 
-    def file_quads(self, uri: str) -> tuple[Quad, ...]:
-        return self._file(uri).quads
-
-    def _file(self, uri: str, state: _PodState | None = None) -> PodFile:
-        f = (state or self._state).files.get(uri)
+    def file(self, uri: str) -> PodFile:
+        f = self._state.files.get(uri)
         if f is None:
             raise UnknownFileError(f"pod {self.owner_webid} has no file {uri!r}")
         return f
+
+    def file_quads(self, uri: str) -> tuple[Quad, ...]:
+        return self.file(uri).quads
 
     def _verified(self, identity: Identity) -> bool:
         return self.identity_registry.get(identity.webid) == identity.token
@@ -174,43 +191,32 @@ class Pod:
     def execute_query(
         self, identity: Identity | None, pattern: QuadPattern, file_uri: str
     ) -> set[Quad]:
-        """Matching quads the client may read, enforced quad by quad.
+        """Matching quads the client may read, enforced quad by quad under
+        the file's own policies.
 
         A client that presents credentials which fail verification gets an
         empty result, indistinguishable from a denial.
         """
-        state = self._state
-        f = self._file(file_uri, state)
+        f = self.file(file_uri)
         if identity is not None and not self._verified(identity):
             return set()
         return {
             quad
             for quad in f.quads
             if pattern_matches(pattern, quad)
-            and allowed_access(
-                state.key_map.pairs_for(quad), identity, self.conflict_strategy
-            )
+            and allowed_access(f.key_map.pairs_for(quad), identity, self.conflict_strategy)
         }
 
     def get_file_summary(self, file_uri: str) -> Summary:
-        return self._file(file_uri).summary
+        return self.file(file_uri).summary
 
     def update_file(self, file_uri: str, quads: Sequence[Quad]) -> ChangeNotification:
         """Replace an existing file's contents atomically and notify
         aggregators.
 
-        The key map and the file's summary are regenerated before readers
-        can observe the new quads; other files keep their summaries unless
-        the new contents change the (policy, key) pairs of their quads.
-        Files cannot be added this way, since no federation routes or
-        aggregates them; an unknown URI raises UnknownFileError.
+        The file's key map and summary are rebuilt before readers can
+        observe the new quads; no other file is touched. Files cannot be
+        added this way, since no federation routes or aggregates them; an
+        unknown URI raises UnknownFileError.
         """
-        with self._lock:
-            self._file(file_uri)
-            contents = {uri: f.quads for uri, f in self._state.files.items()}
-            contents[file_uri] = tuple(quads)
-            self._rebuild(contents, written=file_uri)
-        notification = ChangeNotification(self.owner_webid, file_uri)
-        for listener in self._listeners:
-            listener(notification)
-        return notification
+        return self._rebuild(file_uri, tuple(quads))

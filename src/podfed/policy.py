@@ -1,6 +1,6 @@
-"""Access policies, subject groups, symmetric access keys, and the
-quad-to-(policy, key) map used both to build summaries and to enforce
-access at query time.
+"""Access policies, subject groups, symmetric access keys, and each file's
+quad-to-(policy, key) map, used both to build the file's summary and to
+enforce access to it at query time.
 
 Keys are plain byte strings. Every permit policy owns exactly one key;
 policies whose subject group is the universal "everyone" tier map to the
@@ -128,9 +128,6 @@ class PolicyKeyMap:
     def quads(self) -> Iterable[Quad]:
         return self.entries.keys()
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 @dataclass(frozen=True)
 class KeyRing:
@@ -203,25 +200,26 @@ class KeyStore:
 
 
 def create_access_keys(
-    files: Mapping[str, Sequence[Quad]],
+    file_uri: str,
+    quads: Sequence[Quad],
     policies: Sequence[AccessPolicy],
     keystore: KeyStore,
 ) -> PolicyKeyMap:
-    """Build the quad → {(policy, key)} map for a set of files.
+    """Build the quad → {(policy, key)} map of one file.
 
-    A policy covers a quad when the quad's file matches the policy's
-    resource and the quad's predicate is in the policy's predicate set (or
+    Only policies on ``file_uri`` govern its quads: a policy on another
+    file has no say here, even over an identical quad. Such a policy covers
+    a quad when the quad's predicate is in the policy's predicate set (or
     the set is empty). Quads no policy covers map to the empty set.
     """
-    entries: dict[Quad, set[PolicyKeyPair]] = {}
-    for file_uri, quads in files.items():
-        for quad in quads:
-            pairs = entries.setdefault(quad, set())
-            for policy in policies:
-                if policy.covers(file_uri, quad):
-                    key = keystore.generate_key(policy) if policy.effect == PERMIT else None
-                    pairs.add((policy, key))
-    return PolicyKeyMap({quad: frozenset(pairs) for quad, pairs in entries.items()})
+    keyed = [
+        (policy, keystore.generate_key(policy) if policy.effect == PERMIT else None)
+        for policy in policies
+        if policy.file_uri == file_uri
+    ]
+    return PolicyKeyMap(
+        {quad: frozenset(p for p in keyed if p[0].covers(file_uri, quad)) for quad in quads}
+    )
 
 
 def allowed_access(

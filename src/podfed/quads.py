@@ -51,14 +51,6 @@ class Term:
         if self.datatype is not None and self.language is not None:
             raise ValueError("literal may carry a datatype or a language tag, not both")
 
-    @property
-    def is_iri(self) -> bool:
-        return self.kind == IRI
-
-    @property
-    def is_literal(self) -> bool:
-        return self.kind == LITERAL
-
     def __str__(self) -> str:
         return canonical_text(self)
 
@@ -310,11 +302,13 @@ def parse_quads(text: str) -> list[Quad]:
 
     Blank-node labels are document-scoped and renamed to ``_:b0, _:b1, ...``
     in first-occurrence order so the output is stable across reloads. Blank
-    lines and ``#`` comment lines are skipped.
+    lines and ``#`` comment lines are skipped. Statements end only at
+    ``\\n`` (or ``\\r\\n``); any other line-break character, such as a raw
+    ``\\r`` or U+2028, is an ordinary character inside a literal.
     """
     quads: list[Quad] = []
     blank_labels: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -67,7 +67,7 @@ def all_inserted_elements(fed):
         for uri in pod.file_uris:
             summary = pod.get_file_summary(uri)
             for quad in pod.file_quads(uri):
-                for key in pod.key_map.permit_keys_for(quad):
+                for key in pod.file(uri).key_map.permit_keys_for(quad):
                     for component in COMPONENTS:
                         yield summary.component(component), quad.component(component), key, uri
 
@@ -111,7 +111,7 @@ def test_criterion_3_combination_equivalence(fed):
                 if uri not in pod.file_uris:
                     continue
                 for quad in pod.file_quads(uri):
-                    for key in pod.key_map.permit_keys_for(quad):
+                    for key in pod.file(uri).key_map.permit_keys_for(quad):
                         for name in COMPONENTS:
                             summary_add(fresh[name], quad.component(name), key, uri)
         for name in COMPONENTS:

@@ -33,7 +33,7 @@ def file_summary(source_uri, *quads, params=PARAMS):
         effect="permit",
         file_uri=source_uri,
     )
-    key_map = create_access_keys({source_uri: list(quads)}, [policy], KeyStore())
+    key_map = create_access_keys(source_uri, quads, [policy], KeyStore())
     return create_file_summary(list(quads), source_uri, key_map, params)
 
 

@@ -44,7 +44,7 @@ SECRET_KEY = KEYSTORE.generate_key(SEC_POLICY)
 def build_aggregator(filter_cls=ExactFilter):
     summaries = {}
     for uri, quads, policy in ((SRC_PUB, [PUB_Q], PUB_POLICY), (SRC_SEC, [SEC_Q], SEC_POLICY)):
-        key_map = create_access_keys({uri: quads}, [policy], KEYSTORE)
+        key_map = create_access_keys(uri, quads, [policy], KEYSTORE)
         summaries[uri] = create_file_summary(quads, uri, key_map, PARAMS, filter_cls)
     return Aggregator(summaries.__getitem__, [SRC_PUB, SRC_SEC], PARAMS, filter_cls=filter_cls)
 

@@ -200,6 +200,26 @@ class TestRotation:
         }
         assert fed.aggregator.generation >= 1
 
+    def test_rotation_rebuilds_and_publishes_only_its_file(self, tmp_path):
+        text = MINIMAL.replace(
+            "    policies:",
+            "      urn:o:other: |\n        <urn:s> <urn:p> \"y\" .\n"
+            "    groups: {acquaintances: [urn:o], friends: [urn:o]}\n    policies:",
+        ).replace(
+            "file: urn:o:file}",
+            "file: urn:o:file}\n      - {id: close, tier: friends, effect: permit, file: urn:o:other}",
+        ).replace("[urn:o:file]", "[urn:o:file, urn:o:other]")
+        fed = load_scenario(write(tmp_path, text), fixed_keys=True)
+        [pod] = fed.pods
+        before = {uri: pod.get_file_summary(uri) for uri in pod.file_uris}
+        fetched, fetch = [], pod.get_file_summary
+        pod.get_file_summary = lambda uri: fetched.append(uri) or fetch(uri)
+        fed.rotate_key("close")
+        assert fed.aggregator.generation == 1
+        assert fetched == ["urn:o:other"]
+        assert pod.get_file_summary("urn:o:file") is before["urn:o:file"]
+        assert pod.get_file_summary("urn:o:other") is not before["urn:o:other"]
+
     def test_unknown_policy(self, fed):
         with pytest.raises(KeyError, match="r99"):
             fed.rotate_key("r99")

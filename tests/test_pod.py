@@ -3,6 +3,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import podfed.pod
 from podfed.pod import Pod, UnknownFileError
@@ -11,15 +13,18 @@ from podfed.policy import (
     PERMIT_OVERRIDES,
     PROHIBIT,
     PUBLIC_KEY,
+    TIER_ACQUAINTANCES,
     TIER_EVERYONE,
     TIER_FRIENDS,
+    TIERS,
     AccessPolicy,
     Identity,
     KeyStore,
+    PolicyError,
     SubjectGroup,
 )
-from podfed.quads import Quad, QuadPattern, Variable, iri, literal, parse_quads
-from podfed.summary import ANY_SOURCE, AmfParams, ExactFilter, summary_contains
+from podfed.quads import COMPONENTS, Quad, QuadPattern, Variable, iri, literal, parse_quads
+from podfed.summary import ANY_SOURCE, AmfParams, ExactFilter, summary_add, summary_contains
 
 OWNER = "urn:owner"
 FRIEND = "urn:friend"
@@ -241,23 +246,155 @@ class TestIncrementalRebuild:
 
     def test_rotation_resummarises_the_rotated_files(self, summarised):
         pod = self.two_file_pod()
+        seen = []
+        pod.add_change_listener(seen.append)
         before = {uri: pod.get_file_summary(uri) for uri in (FILE, OTHER)}
         summarised.clear()
-        pod.keystore.rotate(pod.policies[0])
-        pod.rebuild_access_state()
+        pod.rotate_key(pod.policies[0])
         assert summarised == [FILE]
+        assert [n.file_uri for n in seen] == [FILE]
         assert pod.get_file_summary(FILE).to_bytes() != before[FILE].to_bytes()
         assert pod.get_file_summary(OTHER) is before[OTHER]
 
     def test_shared_quad_resummarises_the_file_whose_keys_changed(self, summarised):
-        # the key map is keyed by quad: writing OTHER_Q into FILE gives the
-        # copy in OTHER the friends key too, so OTHER's summary must change
+        # each file is keyed by its own policies: writing OTHER_Q into FILE
+        # gives FILE's copy the friends key and leaves OTHER's copy alone
         pod = self.two_file_pod()
-        before = pod.get_file_summary(OTHER).to_bytes()
+        before = pod.get_file_summary(OTHER)
         summarised.clear()
         pod.update_file(FILE, [TEL_Q, OTHER_Q])
-        assert sorted(summarised) == sorted([FILE, OTHER])
-        assert pod.get_file_summary(OTHER).to_bytes() != before
+        assert summarised == [FILE]
+        assert pod.get_file_summary(OTHER) is before
+
+    def test_write_logs_only_the_written_files_uncovered_quads(self, caplog):
+        rogue = Quad(iri(OWNER), iri("urn:v:secret"), literal("s"))
+        with caplog.at_level(logging.WARNING, logger="podfed.pod"):
+            pod = make_pod(files={FILE: [NAME_Q], OTHER: [rogue]})
+            assert [r.getMessage() for r in caplog.records] == [
+                f"pod {OWNER}, file {OTHER}: 1 quad(s) covered by no permit policy; "
+                "they are stored but inaccessible and left out of summaries"
+            ]
+            caplog.clear()
+            pod.update_file(FILE, [NAME_Q, TEL_Q])
+            assert caplog.records == []
+            pod.update_file(OTHER, [rogue, OTHER_Q])
+            assert [OTHER in r.getMessage() and "2 quad(s)" in r.getMessage()
+                    for r in caplog.records] == [True]
+
+
+SHARED_Q = Quad(iri(OWNER), iri("urn:v:email"), literal("o@pods"))
+
+
+class TestPoliciesGovernOnlyTheirFile:
+    everyone = SubjectGroup(OWNER, TIER_EVERYONE)
+
+    def open_policy(self, uri, effect=PERMIT):
+        return AccessPolicy(id=f"{effect}-{uri}", subject_group=self.everyone,
+                            effect=effect, file_uri=uri)
+
+    def public_terms(self, pod, uri):
+        predicate = pod.get_file_summary(uri).component("predicate")
+        return summary_contains(predicate, SHARED_Q.predicate, PUBLIC_KEY, uri)
+
+    def test_file_without_policy_fails_closed(self):
+        # OTHER's public policy covers the same quad, but not in FILE
+        pod = make_pod(policies=[self.open_policy(OTHER)],
+                       files={FILE: [SHARED_Q], OTHER: [SHARED_Q]}, filter_cls=ExactFilter)
+        assert pod.execute_query(None, ALL, FILE) == set()
+        assert pod.execute_query(Identity(OWNER, "owner-token"), ALL, FILE) == set()
+        assert not self.public_terms(pod, FILE)
+        assert pod.execute_query(None, ALL, OTHER) == {SHARED_Q}
+        assert self.public_terms(pod, OTHER)
+
+    def test_prohibition_elsewhere_does_not_hide_the_quad(self):
+        pod = make_pod(policies=[self.open_policy(FILE), self.open_policy(OTHER, PROHIBIT)],
+                       files={FILE: [SHARED_Q], OTHER: [SHARED_Q]}, filter_cls=ExactFilter)
+        assert pod.execute_query(None, ALL, FILE) == {SHARED_Q}
+        assert pod.execute_query(Identity(FRIEND, "friend-token"), ALL, FILE) == {SHARED_Q}
+        assert self.public_terms(pod, FILE)
+        assert pod.execute_query(None, ALL, OTHER) == set()
+        assert not self.public_terms(pod, OTHER)
+
+    def test_inspection_key_map_is_the_union_of_the_files(self):
+        pod = make_pod(policies=[self.open_policy(FILE), self.open_policy(OTHER, PROHIBIT)],
+                       files={FILE: [SHARED_Q, NAME_Q], OTHER: [SHARED_Q]})
+        assert {p.id for p, _ in pod.key_map.pairs_for(SHARED_Q)} == {
+            f"{PERMIT}-{FILE}", f"{PROHIBIT}-{OTHER}"}
+        assert pod.key_map.permit_keys_for(NAME_Q) == {PUBLIC_KEY}
+        assert set(pod.key_map.quads()) == {SHARED_Q, NAME_Q}
+
+
+POOL = [Quad(iri(f"urn:s{i % 2}"), iri(f"urn:p{i % 3}"), literal(f"v{i}")) for i in range(6)]
+URIS = ["urn:pod:f0", "urn:pod:f1", "urn:pod:f2"]
+MEMBERS = {TIER_EVERYONE: frozenset(), TIER_ACQUAINTANCES: frozenset({FRIEND, STRANGER}),
+           TIER_FRIENDS: frozenset({FRIEND})}
+CONTENTS = st.lists(st.sampled_from(POOL), max_size=5)
+POLICIES = st.lists(st.tuples(
+    st.sampled_from(URIS),
+    st.sampled_from([PERMIT, PERMIT, PROHIBIT]),
+    st.sampled_from(TIERS),
+    st.frozensets(st.sampled_from(["urn:p0", "urn:p1", "urn:p2"]), max_size=2),
+), max_size=6)
+STEPS = st.lists(st.one_of(
+    st.tuples(st.just("write"), st.sampled_from(URIS), CONTENTS),
+    st.tuples(st.just("rotate"), st.integers(0, 5)),
+), max_size=6)
+
+
+class TestPerFileIsolation:
+    """Every file's summary and answers follow from its own policies alone,
+    whatever the other files hold and however they change."""
+
+    @staticmethod
+    def governing(pod, uri, quad):
+        return [p for p in pod.policies if p.file_uri == uri
+                and (not p.predicates or quad.predicate.value in p.predicates)]
+
+    def check(self, pod):
+        for uri in URIS:
+            quads = pod.file_quads(uri)
+            expected = {name: ExactFilter(PARAMS) for name in COMPONENTS}
+            for quad in quads:
+                for p in self.governing(pod, uri, quad):
+                    if p.effect == PERMIT:
+                        key = pod.keystore.generate_key(p)
+                        for name in COMPONENTS:
+                            summary_add(expected[name], quad.component(name), key, uri)
+            summary = pod.get_file_summary(uri)
+            assert all(summary.component(n) == expected[n] for n in COMPONENTS), uri
+            for webid in (None, OWNER, FRIEND, STRANGER):
+                who = Identity(webid, f"{webid}-token") if webid else None
+                allowed = set()
+                for quad in quads:
+                    effects = {p.effect for p in self.governing(pod, uri, quad)
+                               if p.subject_group.contains(webid)}
+                    if PERMIT in effects and (PROHIBIT not in effects
+                                              or pod.conflict_strategy == PERMIT_OVERRIDES):
+                        allowed.add(quad)
+                assert pod.execute_query(who, ALL, uri) == allowed, (uri, webid)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.fixed_dictionaries({uri: CONTENTS for uri in URIS}), POLICIES, STEPS,
+           st.sampled_from(["deny-overrides", PERMIT_OVERRIDES]))
+    def test_each_file_follows_only_its_own_policies(self, files, specs, steps, strategy):
+        policies = [
+            AccessPolicy(id=f"r{i}", subject_group=SubjectGroup(OWNER, tier, MEMBERS[tier]),
+                         effect=effect, file_uri=uri, predicates=predicates)
+            for i, (uri, effect, tier, predicates) in enumerate(specs)
+        ]
+        registry = {w: f"{w}-token" for w in (OWNER, FRIEND, STRANGER)}
+        pod = make_pod(policies=policies, files=files, registry=registry,
+                       filter_cls=ExactFilter, conflict_strategy=strategy)
+        self.check(pod)
+        for step in steps:
+            if step[0] == "write":
+                pod.update_file(step[1], step[2])
+            elif step[1] < len(policies):
+                try:
+                    pod.rotate_key(policies[step[1]])
+                except PolicyError:
+                    continue
+            self.check(pod)
 
 
 class TestConcurrentReaders:

@@ -126,19 +126,28 @@ class TestCreateAccessKeys:
         name_q, tel_q = quad("urn:v:name"), quad("urn:v:telephone")
         p_name = policy("r1", group(TIER_EVERYONE), predicates={"urn:v:name"})
         p_tel = policy("r2", group(TIER_FRIENDS, "urn:a"), predicates={"urn:v:telephone"})
-        km = create_access_keys({FILE: [name_q, tel_q]}, [p_name, p_tel], KeyStore())
+        km = create_access_keys(FILE, [name_q, tel_q], [p_name, p_tel], KeyStore())
         assert km.permit_keys_for(name_q) == {PUBLIC_KEY}
         tel_keys = km.permit_keys_for(tel_q)
         assert len(tel_keys) == 1 and PUBLIC_KEY not in tel_keys
 
     def test_uncovered_quads_map_to_nothing(self):
-        km = create_access_keys({FILE: [quad()]}, [], KeyStore())
+        km = create_access_keys(FILE, [quad()], [], KeyStore())
         assert km.permit_keys_for(quad()) == set()
         assert km.pairs_for(quad()) == frozenset()
 
+    def test_policies_on_other_files_are_ignored(self):
+        elsewhere = [
+            policy("r1", group(TIER_EVERYONE), file_uri="urn:pod:other"),
+            policy("r2", group(TIER_FRIENDS, "urn:a"), effect=PROHIBIT, file_uri="urn:pod:other"),
+        ]
+        own = policy("r3", group(TIER_FRIENDS))
+        km = create_access_keys(FILE, [quad()], elsewhere + [own], KeyStore())
+        assert {p.id for p, _ in km.pairs_for(quad())} == {"r3"}
+
     def test_prohibit_pairs_carry_no_key(self):
         p = policy("r1", group(TIER_FRIENDS, "urn:a"), effect=PROHIBIT)
-        km = create_access_keys({FILE: [quad()]}, [p], KeyStore())
+        km = create_access_keys(FILE, [quad()], [p], KeyStore())
         [(_, key)] = km.pairs_for(quad())
         assert key is None
         assert km.permit_keys_for(quad()) == set()

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from podfed.quads import (
     DEFAULT_GRAPH,
@@ -169,3 +171,58 @@ class TestParser:
             parse_quads(text)
         assert err.value.line == 3
         assert "line 3" in str(err.value)
+
+
+class TestLineBreaks:
+    def test_raw_unicode_line_separator_inside_literal(self):
+        [quad] = parse_quads('<urn:s> <urn:p> "c\u2028x" .')
+        assert quad.object == literal("c\u2028x")
+
+    @pytest.mark.parametrize(
+        "brk", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2029"]
+    )
+    def test_literal_with_other_line_breaks_round_trips(self, brk):
+        quads = [q(iri("urn:s"), iri("urn:p"), literal(f"a{brk}b{brk}"))]
+        assert parse_quads(serialize_quads(quads)) == quads
+
+    def test_crlf_files_are_accepted(self):
+        text = "<urn:s> <urn:p> <urn:o> .\r\n\r\n# c\r\n<urn:s> <urn:p> <urn:o2> .\r\n<urn:s>"
+        with pytest.raises(ParseError) as err:
+            parse_quads(text)
+        assert err.value.line == 5
+        assert len(parse_quads(text.removesuffix("<urn:s>"))) == 2
+
+
+IRIS = st.sampled_from(["urn:s", "urn:p", "urn:g", "https://x.org/a#b"]).map(iri)
+LITERALS = st.builds(
+    literal,
+    st.text(),
+    language=st.none() | st.sampled_from(["en", "en-GB"]),
+) | st.builds(literal, st.text(), datatype=st.sampled_from(["urn:int", "urn:t"]))
+QUADS = st.builds(Quad, IRIS, IRIS, IRIS | LITERALS, IRIS | st.just(DEFAULT_GRAPH))
+NQUADS_CHARS = st.sampled_from(list('<>"\\_:.@^# \t\n\rabn') + ["\u2028", "\x85", "\x0c"])
+
+
+@st.composite
+def damaged_documents(draw):
+    """A valid serialization with a few N-Quads characters spliced in."""
+    text = serialize_quads(draw(st.lists(QUADS, min_size=1, max_size=3)))
+    at = draw(st.integers(0, len(text)))
+    cut = draw(st.integers(0, 3))
+    return text[:at] + draw(st.text(NQUADS_CHARS, max_size=3)) + text[at + cut:]
+
+
+class TestParserProperties:
+    @settings(deadline=None)
+    @given(st.lists(QUADS, max_size=5))
+    def test_serialize_then_parse_is_identity(self, quads):
+        assert parse_quads(serialize_quads(quads)) == quads
+
+    @settings(deadline=None)
+    @given(st.text(NQUADS_CHARS) | st.text() | damaged_documents())
+    def test_arbitrary_input_raises_only_parse_error(self, text):
+        try:
+            quads = parse_quads(text)
+        except ParseError:
+            return
+        assert all(isinstance(quad, Quad) for quad in quads)
