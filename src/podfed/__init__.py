@@ -3,7 +3,6 @@ pods, with privacy-preserving summaries for client-side source selection."""
 
 from .quads import (
     DEFAULT_GRAPH,
-    DEFAULT_GRAPH_IRI,
     COMPONENTS,
     ParseError,
     Quad,
@@ -40,7 +39,6 @@ from .policy import (
 )
 from .summary import (
     ANY_SOURCE,
-    DEFAULT_PARAMS,
     AmfParams,
     BloomFilter,
     ExactFilter,
@@ -53,10 +51,9 @@ from .summary import (
     summary_combine,
     summary_contains,
 )
-from .pod import ChangeNotification, Pod, PodFile, UnknownFileError
+from .pod import Pod, PodFile, UnknownFileError
 from .aggregator import Aggregator, create_aggregated_summary
 from .client import (
-    QueryResult,
     SelectionReport,
     federated_query,
     query_sources,

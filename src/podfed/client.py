@@ -59,15 +59,6 @@ class QueryResult:
         return len(self.bindings)
 
 
-def _matches_any_key(f, term, keyring: KeyRing, source_uri: str) -> tuple[bool, int]:
-    probes = 0
-    for key in keyring.keys:
-        probes += 1
-        if summary_contains(f, term, key, source_uri):
-            return True, probes
-    return False, probes
-
-
 def select_sources(
     pattern: QuadPattern,
     keyring: KeyRing,
@@ -76,37 +67,33 @@ def select_sources(
 ) -> tuple[tuple[str, ...], SelectionReport]:
     """Pick the sources that may hold matches for ``pattern``.
 
-    All-variable patterns have nothing to probe with and select every
-    source. Otherwise a source survives only if each ground component is
-    present in the combined summary under some key the client holds.
+    A source survives only if each ground component is present in the
+    combined summary under some key the client holds; the wildcard source
+    is tested the same way first. All-variable patterns have nothing to
+    probe with and select every source.
     """
     ground = pattern.ground_components()
-    if not ground:
-        report = SelectionReport(pattern, sources, tuple(sources))
-        return report.selected, report
-
     probes = 0
-    for name, term in ground:
-        hit, n = _matches_any_key(combined.component(name), term, keyring, ANY_SOURCE)
-        probes += n
-        if not hit:
-            report = SelectionReport(
-                pattern, sources, (), pruned_by_global=True, probes_performed=probes
-            )
-            return report.selected, report
 
-    selected = []
-    for uri in sources:
-        keep = True
+    def holds(uri: str) -> bool:
+        nonlocal probes
         for name, term in ground:
-            hit, n = _matches_any_key(combined.component(name), term, keyring, uri)
-            probes += n
-            if not hit:
-                keep = False
-                break
-        if keep:
-            selected.append(uri)
-    report = SelectionReport(pattern, sources, tuple(selected), probes_performed=probes)
+            f = combined.component(name)
+            for key in keyring.keys:
+                probes += 1
+                if summary_contains(f, term, key, uri):
+                    break
+            else:
+                return False
+        return True
+
+    if not holds(ANY_SOURCE):
+        report = SelectionReport(
+            pattern, sources, (), pruned_by_global=True, probes_performed=probes
+        )
+        return report.selected, report
+    selected = tuple(uri for uri in sources if holds(uri))
+    report = SelectionReport(pattern, sources, selected, probes_performed=probes)
     return report.selected, report
 
 

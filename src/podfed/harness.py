@@ -62,7 +62,8 @@ def _fail(path: str, message: str):
 
 
 def _require(value, path: str, kind: type, message: str):
-    if not isinstance(value, kind):
+    # bool is an int subclass, but `h: true` is no probe count.
+    if not isinstance(value, kind) or isinstance(value, bool):
         _fail(path, message)
     return value
 
@@ -263,6 +264,8 @@ def _load_files(raw, path: str) -> dict[str, tuple[Quad, ...]]:
     files: dict[str, tuple[Quad, ...]] = {}
     for uri, body in raw.items():
         _require(uri, path, str, "file URIs must be strings")
+        if not uri:
+            _fail(path, "file URIs must be non-empty")
         body = _require(body, f"{path}[{uri}]", str, "expected quad text")
         try:
             files[uri] = tuple(parse_quads(body))
@@ -349,6 +352,8 @@ def load_scenario(
             _fail(p, f"{ANONYMOUS!r} is reserved for unauthenticated clients")
         entry = _require(entry, p, dict, "expected a mapping with webid and token")
         webid = _require(entry.get("webid"), f"{p}.webid", str, "expected a string")
+        if not webid:
+            _fail(f"{p}.webid", "expected a non-empty string")
         token = _require(entry.get("token", ""), f"{p}.token", str, "expected a string")
         identities[name] = Identity(webid=webid, token=token)
     registry = {ident.webid: ident.token for ident in identities.values()}

@@ -19,6 +19,7 @@ from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .policy import (
+    CONFLICT_STRATEGIES,
     DENY_OVERRIDES,
     AccessPolicy,
     Identity,
@@ -107,6 +108,8 @@ class Pod:
         conflict_strategy: str = DENY_OVERRIDES,
         filter_cls: FilterFactory = BloomFilter,
     ):
+        if conflict_strategy not in CONFLICT_STRATEGIES:
+            raise ValueError(f"unknown conflict strategy {conflict_strategy!r}")
         self._policies_by_file: dict[str, list[AccessPolicy]] = {uri: [] for uri in files}
         for policy in policies:
             if policy.file_uri not in files:

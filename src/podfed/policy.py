@@ -157,6 +157,8 @@ class KeyStore:
     """
 
     def __init__(self, fixed_seed: int | None = None):
+        if fixed_seed is not None and not -(2**63) <= fixed_seed < 2**63:
+            raise ValueError(f"fixed seed must fit in a signed 64-bit integer, got {fixed_seed}")
         self._fixed_seed = fixed_seed
         self._keys: dict[str, AccessKey] = {}
         self._generations: dict[str, int] = {}

@@ -4,11 +4,15 @@ All types here are immutable values; they can be shared freely between
 threads. The parser supports one statement per line: ``<iri>`` terms,
 ``"..."`` literals with ``\\"``, ``\\\\`` and ``\\n`` escapes plus an
 optional ``@lang`` or ``^^<iri>`` suffix, ``_:label`` blank nodes, an
-optional fourth graph term, and a terminating ``.``.
+optional fourth graph term, and a terminating ``.``. That grammar lives
+in one token pattern, ``_TOKEN``, modelled on the W3C RDF 1.1 N-Quads
+Recommendation; ``_term`` turns each match into a term or a ``ParseError``,
+and ``Quad`` itself enforces which kind of term may stand where.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -21,6 +25,9 @@ COMPONENTS = ("subject", "predicate", "object", "graph")
 IRI = "iri"
 LITERAL = "literal"
 BLANK = "blank"
+
+# Matches exactly the characters for which str.isspace() is true.
+_WHITESPACE = re.compile(r"\s")
 
 
 class ParseError(ValueError):
@@ -44,7 +51,7 @@ class Term:
         if self.kind not in (IRI, LITERAL, BLANK):
             raise ValueError(f"unknown term kind: {self.kind!r}")
         if self.kind == IRI:
-            if not self.value or any(c.isspace() for c in self.value):
+            if not self.value or _WHITESPACE.search(self.value):
                 raise ValueError(f"invalid IRI: {self.value!r}")
         if self.kind != LITERAL and (self.datatype or self.language):
             raise ValueError("datatype/language only allowed on literals")
@@ -85,7 +92,7 @@ class Quad:
         if self.predicate.kind != IRI:
             raise ValueError("predicate must be an IRI")
         if self.graph.kind != IRI:
-            raise ValueError("graph must be an IRI")
+            raise ValueError("graph term must be an IRI")
 
     def component(self, name: str) -> Term:
         return getattr(self, name)
@@ -188,113 +195,73 @@ def serialize_quads(quads: Iterable[Quad]) -> str:
 
 # --- N-Quads-subset parser ---------------------------------------------------
 
-
-@dataclass
-class _Scanner:
-    text: str
-    line: int
-    pos: int = 0
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        c = self.peek()
-        self.pos += 1
-        return c
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-
+# One token per match: blanks, then a '.', an IRI, a literal, a blank node or
+# any other character. Each term alternative also matches the malformed
+# shapes of that term, so the match alone says which rule a statement broke.
+# Every run is possessive (*+) and what follows it covers every character that
+# can stop it, or the line end, so no alternative backtracks once its first
+# character matched. Time stays linear, and no backtracking state is kept per
+# escape: with a plain * that state costs about 130 bytes per escape.
+_TOKEN = re.compile(
+    r'''
+    [ \t]*+                                 # blanks are skipped before a token only
+    (?:
+        (?P<dot>\.)
+      | (?P<iri><[^>\s]*+(?:>|\s|))          # '<', body, then '>', whitespace or the line end
+      | "(?P<literal>[^"\\]*+(?:\\["\\n][^"\\]*+)*+)
+        (?P<literal_end>"|\\.?|)            # closing quote, a bad escape or the line end
+        (?:@(?P<language>[A-Za-z0-9-]*+)
+          |\^\^(?P<datatype><[^>\s]*+(?:>|\s|)|)
+        )?
+      | _(?::(?P<blank>[A-Za-z0-9_]*+))?
+      | (?P<other>[^ \t])                   # any other character, never a blank
+    )
+    ''',
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r"\\(.)")
 _UNESCAPES = {'"': '"', "\\": "\\", "n": "\n"}
-_BLANK_LABEL_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
-_LANG_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-")
 
 
-def _read_iri(s: _Scanner) -> str:
-    assert s.take() == "<"
-    start = s.pos
-    while not s.at_end() and s.peek() != ">":
-        if s.peek().isspace():
-            raise s.error("whitespace inside IRI")
-        s.pos += 1
-    if s.at_end():
-        raise s.error("unterminated IRI")
-    value = s.text[start : s.pos]
-    s.pos += 1
-    if not value:
-        raise s.error("empty IRI")
-    return value
+def _iri_value(token: str, line: int) -> str:
+    """The IRI inside an ``iri`` or ``datatype`` match: its last character
+    is the '>' that closed it, the whitespace that broke it, or its body's."""
+    end = token[-1]
+    if end == ">":
+        if len(token) == 2:
+            raise ParseError("empty IRI", line)
+        return token[1:-1]
+    raise ParseError("whitespace inside IRI" if end.isspace() else "unterminated IRI", line)
 
 
-def _read_literal(s: _Scanner) -> Term:
-    assert s.take() == '"'
-    chars: list[str] = []
-    while True:
-        if s.at_end():
-            raise s.error("unterminated literal")
-        c = s.take()
-        if c == '"':
-            break
-        if c == "\\":
-            esc = s.take()
-            if esc not in _UNESCAPES:
-                raise s.error(f"unsupported escape: \\{esc}")
-            chars.append(_UNESCAPES[esc])
-        else:
-            chars.append(c)
-    value = "".join(chars)
-    if s.peek() == "@":
-        s.take()
-        start = s.pos
-        while not s.at_end() and s.peek() in _LANG_CHARS:
-            s.pos += 1
-        tag = s.text[start : s.pos]
-        if not tag:
-            raise s.error("empty language tag")
-        return literal(value, language=tag)
-    if s.text.startswith("^^", s.pos):
-        s.pos += 2
-        if s.peek() != "<":
-            raise s.error("datatype must be an IRI")
-        return literal(value, datatype=_read_iri(s))
-    return literal(value)
-
-
-def _read_blank_label(s: _Scanner) -> str:
-    assert s.take() == "_"
-    if s.take() != ":":
-        raise s.error("expected ':' after '_' in blank node")
-    start = s.pos
-    while not s.at_end() and s.peek() in _BLANK_LABEL_CHARS:
-        s.pos += 1
-    label = s.text[start : s.pos]
+def _term(m: re.Match, line: int, blank_labels: dict[str, str]) -> Term:
+    """Turn one non-'.' token into a term, or raise the rule it broke."""
+    if m["iri"] is not None:
+        return iri(_iri_value(m["iri"], line))
+    if m["literal"] is not None:
+        end = m["literal_end"]
+        if end != '"':
+            raise ParseError(f"unsupported escape: {end}" if end else "unterminated literal", line)
+        value = m["literal"]
+        if "\\" in value:
+            value = _ESCAPE.sub(lambda e: _UNESCAPES[e[1]], value)
+        if m["language"] is not None:
+            if not m["language"]:
+                raise ParseError("empty language tag", line)
+            return literal(value, language=m["language"])
+        if m["datatype"] is not None:
+            if not m["datatype"]:
+                raise ParseError("datatype must be an IRI", line)
+            return literal(value, datatype=_iri_value(m["datatype"], line))
+        return literal(value)
+    if m["other"] is not None:
+        raise ParseError(f"unexpected character {m['other']!r}", line)
+    label = m["blank"]
+    if label is None:
+        raise ParseError("expected ':' after '_' in blank node", line)
     if not label:
-        raise s.error("empty blank node label")
-    return label
-
-
-def _read_term(s: _Scanner, blank_labels: dict[str, str]) -> Term:
-    c = s.peek()
-    if c == "<":
-        return iri(_read_iri(s))
-    if c == '"':
-        return _read_literal(s)
-    if c == "_":
-        label = _read_blank_label(s)
-        renamed = blank_labels.setdefault(label, f"b{len(blank_labels)}")
-        return blank(renamed)
-    if c == "":
-        raise s.error("unexpected end of statement")
-    raise s.error(f"unexpected character {c!r}")
+        raise ParseError("empty blank node label", line)
+    return blank(blank_labels.setdefault(label, f"b{len(blank_labels)}"))
 
 
 def parse_quads(text: str) -> list[Quad]:
@@ -312,30 +279,21 @@ def parse_quads(text: str) -> list[Quad]:
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        s = _Scanner(raw, line_no)
         terms: list[Term] = []
-        while True:
-            s.skip_ws()
-            if s.peek() == ".":
-                s.take()
-                break
-            if s.at_end():
-                raise s.error("statement not terminated by '.'")
+        pos = 0
+        while (m := _TOKEN.match(raw, pos)) is not None and m["dot"] is None:
             if len(terms) == 4:
-                raise s.error("too many terms in statement")
-            terms.append(_read_term(s, blank_labels))
-        s.skip_ws()
-        if not s.at_end():
-            raise s.error("unexpected content after '.'")
+                raise ParseError("too many terms in statement", line_no)
+            terms.append(_term(m, line_no, blank_labels))
+            pos = m.end()
+        if m is None:
+            raise ParseError("statement not terminated by '.'", line_no)
+        if raw[m.end():].strip(" \t"):
+            raise ParseError("unexpected content after '.'", line_no)
         if len(terms) < 3:
-            raise s.error("statement needs subject, predicate and object")
-        subject, predicate, obj = terms[0], terms[1], terms[2]
-        graph = terms[3] if len(terms) == 4 else DEFAULT_GRAPH
-        if subject.kind == LITERAL:
-            raise s.error("literal not allowed in subject position")
-        if predicate.kind != IRI:
-            raise s.error("predicate must be an IRI")
-        if graph.kind != IRI:
-            raise s.error("graph term must be an IRI")
-        quads.append(Quad(subject, predicate, obj, graph))
+            raise ParseError("statement needs subject, predicate and object", line_no)
+        try:
+            quads.append(Quad(*terms))
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from None
     return quads

@@ -119,6 +119,11 @@ class TestEnvSeed:
         assert run("dump-summary", "--fixed-keys", "--seed", "3", "--out", str(b)) == 0
         assert a.read_bytes() != b.read_bytes()
 
+    def test_seed_outside_64_bits_is_a_usage_error(self, capsys):
+        code = run("run", "--fixed-keys", "--seed", str(2**64), "--pattern", "?s ?p ?o ?g")
+        assert code == 2
+        assert "signed 64-bit" in capsys.readouterr().err
+
     def test_invalid_env_seed(self, monkeypatch, capsys):
         monkeypatch.setenv("PODFED_SEED", "not-a-number")
         assert run("fpr", "--m", "4096", "--h", "5", "--inserts", "10", "--probes", "100") == 2

@@ -83,6 +83,12 @@ class TestValidation:
             ("params: {m: 4, h: 5}\n", "params:"),
             ("params: {m: 4096, h: 5, extra: 1}\n", "params: unknown field"),
             ("params: {m: 4096, h: 65}\n", "params: need 1 to 64 hash probes"),
+            ("params: {m: 4096, h: true}\n", "params.h: expected an integer"),
+            ("params: {m: true, h: 5}\n", "params.m: expected an integer"),
+            (
+                'pods:\n  - owner: urn:o\n    files: {"": "<urn:s> <urn:p> <urn:o> ."}\n',
+                "pods[0].files: file URIs must be non-empty",
+            ),
             (
                 "pods:\n  - owner: urn:o\n    groups:\n      friends: [urn:a]\n",
                 "pods[0].groups.friends",
@@ -113,6 +119,7 @@ class TestValidation:
             ("aggregator: {sources: [urn:ghost]}\n", "aggregator.sources[0]"),
             ("identities: {anonymous: {webid: urn:x}}\n", "identities[anonymous]"),
             ("identities: {alice: {webid: 5}}\n", "identities[alice].webid"),
+            ('identities: {alice: {webid: ""}}\n', "identities[alice].webid"),
             ("pods:\n  - owner: urn:o\n    unknown_key: 1\n", "pods[0]: unknown field"),
         ],
     )

@@ -135,6 +135,10 @@ class TestConflictStrategies:
         pod = self.build(PERMIT_OVERRIDES)
         assert pod.execute_query(Identity(FRIEND, "friend-token"), ALL, FILE) == {NAME_Q, TEL_Q}
 
+    def test_unknown_strategy_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown conflict strategy 'bogus'"):
+            self.build("bogus")
+
 
 class TestSummaries:
     def test_summary_positive_for_stored_terms(self):

@@ -105,6 +105,23 @@ class TestKeyStore:
         assert KeyStore(fixed_seed=5).generate_key(p) == KeyStore(fixed_seed=5).generate_key(p)
         assert KeyStore(fixed_seed=5).generate_key(p) != KeyStore(fixed_seed=6).generate_key(p)
 
+    @pytest.mark.parametrize(
+        "seed,key",
+        [
+            (-(2**63), "3e0820355a1f537d9fbe761bae556618ffb0fbea9ab2fa7a954fbe848335b585"),
+            (0, "8ed4aef30cc0d176a325879776bfdccb398759ba573d46c9f2f1356aad8c7acb"),
+            (2**63 - 1, "8ef7421f1052214170538c3087b7bb4a81d1fbc53b27c921ce0cbace816ad4c8"),
+        ],
+    )
+    def test_fixed_seed_keys_are_pinned(self, seed, key):
+        p = AccessPolicy("p", SubjectGroup(POD, TIER_FRIENDS, frozenset({"urn:alice"})), PERMIT, FILE)
+        assert KeyStore(fixed_seed=seed).generate_key(p).hex() == key
+
+    @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 2**64])
+    def test_seed_outside_64_bits_rejected_at_construction(self, seed):
+        with pytest.raises(ValueError, match="signed 64-bit"):
+            KeyStore(fixed_seed=seed)
+
     def test_rotation_replaces_the_key(self):
         store = KeyStore(fixed_seed=5)
         p = policy("p", group(TIER_FRIENDS, "urn:alice"))

@@ -68,7 +68,7 @@ class TestQuadModel:
             Quad(iri("urn:s"), blank("p"), iri("urn:o"))
 
     def test_graph_must_be_iri(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="graph term must be an IRI"):
             Quad(iri("urn:s"), iri("urn:p"), iri("urn:o"), literal("g"))
 
     def test_component_access(self):
@@ -159,11 +159,37 @@ class TestParser:
             ("<> <urn:p> <urn:o> .", "empty IRI"),
             ("<urn:s> <urn:p> _: .", "empty blank node label"),
             ("<urn:s> <urn:p> @x .", "unexpected character"),
+            ("<urn:s> <urn:p> <urn:o>  ", "not terminated"),
+            ("<urn:s> <urn:p> <urn:o> <urn:g> \t", "not terminated"),
+            ('<urn:s> <urn:p> "x\\', "unsupported escape"),
+            ('<urn:s> <urn:p> "x"@ .', "empty language tag"),
+            ('<urn:s> <urn:p> "x"^^ <urn:t> .', "datatype must be an IRI"),
+            ('<urn:s> <urn:p> "x"^^"t" .', "datatype must be an IRI"),
+            ('<urn:s> <urn:p> "x"^^<urn t> .', "whitespace inside IRI"),
+            ('<urn:s> <urn:p> "x"^^<urn:t', "unterminated IRI"),
+            ("<urn:s> <urn:p> _", "expected ':'"),
+            ('<urn:s> <urn:p> "x"^ .', "unexpected character '\\^'"),
+            ('<urn:s> <urn:p> "x"@en@ .', "unexpected character '@'"),
+            ("\x0c<urn:s> <urn:p> <urn:o> .", "unexpected character"),
         ],
     )
     def test_rejects_malformed_statements(self, text, fragment):
         with pytest.raises(ParseError, match=fragment):
             parse_quads(text)
+
+    def test_terms_need_no_blanks_between_them(self):
+        [quad] = parse_quads('<urn:s><urn:p>"x"@en<urn:g>.')
+        assert quad == q(iri("urn:s"), iri("urn:p"), literal("x", language="en"), iri("urn:g"))
+        assert parse_quads("<urn:s><urn:p><urn:o>.") == [q(iri("urn:s"), iri("urn:p"), iri("urn:o"))]
+
+    def test_long_terms(self):
+        n = 10**5
+        escapes = "\\\\" * n + "\\n"
+        text = f'<urn:{"i" * n}> <urn:p> "{"x" * n}" .\n<urn:s> <urn:p> "{escapes}" .'
+        first, second = parse_quads(text)
+        assert first.subject == iri("urn:" + "i" * n)
+        assert first.object == literal("x" * n)
+        assert second.object == literal("\\" * n + "\n")
 
     def test_error_carries_line_number(self):
         text = "<urn:s> <urn:p> <urn:o> .\n\n<urn:s> <urn:p>"
