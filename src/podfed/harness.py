@@ -342,6 +342,7 @@ def load_scenario(
     keystore = KeyStore(fixed_seed=(seed or 0) if fixed_keys else None)
 
     identities: dict[str, Identity] = {}
+    named: dict[str, str] = {}  # webid -> identity name
     raw_ids = _require(
         doc.get("identities") or {}, "identities", dict, "expected a mapping"
     )
@@ -354,6 +355,9 @@ def load_scenario(
         webid = _require(entry.get("webid"), f"{p}.webid", str, "expected a string")
         if not webid:
             _fail(f"{p}.webid", "expected a non-empty string")
+        if webid in named:
+            _fail(f"{p}.webid", f"webid {webid!r} is already used by identity {named[webid]!r}")
+        named[webid] = name
         token = _require(entry.get("token", ""), f"{p}.token", str, "expected a string")
         identities[name] = Identity(webid=webid, token=token)
     registry = {ident.webid: ident.token for ident in identities.values()}

@@ -1,10 +1,10 @@
 """A simulated personal data pod.
 
 Holds files of quads under the owner's access policies, publishes a
-privacy-preserving summary per file, and enforces the policies quad by
-quad when executing queries. Each policy names one file and governs only
-that file's quads, so every file carries its own key map and summary and
-a write or a key rotation rebuilds only the file it touches. Identity
+privacy-preserving summary per file, and enforces the policies once per
+predicate when executing queries. Each policy names one file and governs
+only that file's quads, so every file carries its own key map and summary
+and a write or a key rotation rebuilds only the file it touches. Identity
 verification is a token-equality check against a registry, standing in
 for real WebID authentication; anonymous clients are allowed and match
 only the everyone tier.
@@ -80,12 +80,13 @@ class _PodState:
 
     @cached_property
     def key_map(self) -> PolicyKeyMap:
-        """Per-quad union of the files' key maps, built on first use."""
-        entries: dict[Quad, frozenset] = {}
+        """Per-predicate union of the files' key maps, built on first use."""
+        entries: dict[str, frozenset] = {}
         for f in self.files.values():
-            for quad, pairs in f.key_map.entries.items():
-                entries[quad] = entries.get(quad, frozenset()) | pairs
-        return PolicyKeyMap(entries)
+            for predicate, pairs in f.key_map.entries.items():
+                entries[predicate] = entries.get(predicate, frozenset()) | pairs
+        quads = dict.fromkeys(q for f in self.files.values() for q in f.quads)
+        return PolicyKeyMap(entries, tuple(quads))
 
 
 class Pod:
@@ -171,7 +172,7 @@ class Pod:
 
     @property
     def key_map(self) -> PolicyKeyMap:
-        """Every file's pairs merged per quad, for inspection only: access
+        """Every file's pairs merged per predicate, for inspection only: access
         decisions and summaries use each file's own ``PodFile.key_map``."""
         return self._state.key_map
 
@@ -194,8 +195,8 @@ class Pod:
     def execute_query(
         self, identity: Identity | None, pattern: QuadPattern, file_uri: str
     ) -> set[Quad]:
-        """Matching quads the client may read, enforced quad by quad under
-        the file's own policies.
+        """Matching quads the client may read under the file's own policies,
+        decided once per predicate of the file.
 
         A client that presents credentials which fail verification gets an
         empty result, indistinguishable from a denial.
@@ -203,12 +204,10 @@ class Pod:
         f = self.file(file_uri)
         if identity is not None and not self._verified(identity):
             return set()
-        return {
-            quad
-            for quad in f.quads
-            if pattern_matches(pattern, quad)
-            and allowed_access(f.key_map.pairs_for(quad), identity, self.conflict_strategy)
-        }
+        readable = {p for p, pairs in f.key_map.entries.items()
+                    if allowed_access(pairs, identity, self.conflict_strategy)}
+        return {q for q in f.quads
+                if q.predicate.value in readable and pattern_matches(pattern, q)}
 
     def get_file_summary(self, file_uri: str) -> Summary:
         return self.file(file_uri).summary

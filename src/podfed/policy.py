@@ -1,6 +1,6 @@
 """Access policies, subject groups, symmetric access keys, and each file's
-quad-to-(policy, key) map, used both to build the file's summary and to
-enforce access to it at query time.
+predicate-to-(policy, key) map, used both to build the file's summary and
+to enforce access to it at query time.
 
 Keys are plain byte strings. Every permit policy owns exactly one key;
 policies whose subject group is the universal "everyone" tier map to the
@@ -78,7 +78,7 @@ class SubjectGroup:
 
 @dataclass(frozen=True)
 class AccessPolicy:
-    """⟨subject group, read right, file + predicates⟩ rule.
+    """⟨subject group, effect, file + predicates⟩ rule on reading quads.
 
     An empty predicate set covers every predicate in the file.
     """
@@ -88,18 +88,13 @@ class AccessPolicy:
     effect: str
     file_uri: str
     predicates: frozenset[str] = frozenset()
-    right: str = "read"
 
     def __post_init__(self):
         if self.effect not in (PERMIT, PROHIBIT):
             raise ValueError(f"unknown policy effect {self.effect!r}")
-        if self.right != "read":
-            raise ValueError(f"only the read right is supported, got {self.right!r}")
 
-    def covers(self, file_uri: str, quad: Quad) -> bool:
-        if file_uri != self.file_uri:
-            return False
-        return not self.predicates or quad.predicate.value in self.predicates
+    def covers(self, predicate: str) -> bool:
+        return not self.predicates or predicate in self.predicates
 
 
 # (policy, key) with key None for prohibitions, which carry no key.
@@ -108,16 +103,17 @@ PolicyKeyPair = tuple[AccessPolicy, "AccessKey | None"]
 
 @dataclass(frozen=True)
 class PolicyKeyMap:
-    """Maps every governed quad to the (policy, key) pairs that apply to it.
-
-    Quads mapped to the empty set are covered by no policy and are treated
-    as inaccessible.
+    """A file's quads and, per predicate IRI they use, the (policy, key)
+    pairs that apply to them: a policy covers a quad only through its
+    predicate. Quads whose predicate maps to the empty set are covered by
+    no policy and are treated as inaccessible.
     """
 
-    entries: Mapping[Quad, frozenset[PolicyKeyPair]]
+    entries: Mapping[str, frozenset[PolicyKeyPair]]
+    governed: tuple[Quad, ...]
 
     def pairs_for(self, quad: Quad) -> frozenset[PolicyKeyPair]:
-        return self.entries.get(quad, frozenset())
+        return self.entries.get(quad.predicate.value, frozenset())
 
     def permit_keys_for(self, quad: Quad) -> set[AccessKey]:
         """Deduplicated keys of the permit policies covering the quad."""
@@ -126,7 +122,7 @@ class PolicyKeyMap:
         }
 
     def quads(self) -> Iterable[Quad]:
-        return self.entries.keys()
+        return self.governed
 
 
 @dataclass(frozen=True)
@@ -207,21 +203,21 @@ def create_access_keys(
     policies: Sequence[AccessPolicy],
     keystore: KeyStore,
 ) -> PolicyKeyMap:
-    """Build the quad → {(policy, key)} map of one file.
+    """Build the predicate → {(policy, key)} map of one file.
 
     Only policies on ``file_uri`` govern its quads: a policy on another
     file has no say here, even over an identical quad. Such a policy covers
-    a quad when the quad's predicate is in the policy's predicate set (or
-    the set is empty). Quads no policy covers map to the empty set.
+    a predicate when it is in the policy's predicate set (or the set is
+    empty). Predicates no policy covers map to the empty set.
     """
     keyed = [
         (policy, keystore.generate_key(policy) if policy.effect == PERMIT else None)
         for policy in policies
         if policy.file_uri == file_uri
     ]
-    return PolicyKeyMap(
-        {quad: frozenset(p for p in keyed if p[0].covers(file_uri, quad)) for quad in quads}
-    )
+    predicates = dict.fromkeys(quad.predicate.value for quad in quads)
+    entries = {p: frozenset(pair for pair in keyed if pair[0].covers(p)) for p in predicates}
+    return PolicyKeyMap(entries, tuple(quads))
 
 
 def allowed_access(
@@ -229,7 +225,7 @@ def allowed_access(
     identity: Identity | None,
     strategy: str = DENY_OVERRIDES,
 ) -> bool:
-    """Permit/deny decision for one quad, given the policies that govern it.
+    """Permit/deny decision for one predicate's quads, given its policies.
 
     ``identity`` is None for unauthenticated clients, which only the
     everyone tier admits. Under deny-overrides any applicable prohibition

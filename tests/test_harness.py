@@ -120,6 +120,10 @@ class TestValidation:
             ("identities: {anonymous: {webid: urn:x}}\n", "identities[anonymous]"),
             ("identities: {alice: {webid: 5}}\n", "identities[alice].webid"),
             ('identities: {alice: {webid: ""}}\n', "identities[alice].webid"),
+            (
+                "identities:\n  alice: {webid: urn:x, token: t1}\n  bob: {webid: urn:x, token: t2}\n",
+                "identities[bob].webid: webid 'urn:x' is already used by identity 'alice'",
+            ),
             ("pods:\n  - owner: urn:o\n    unknown_key: 1\n", "pods[0]: unknown field"),
         ],
     )

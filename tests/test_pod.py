@@ -22,8 +22,11 @@ from podfed.policy import (
     KeyStore,
     PolicyError,
     SubjectGroup,
+    create_access_keys,
 )
-from podfed.quads import COMPONENTS, Quad, QuadPattern, Variable, iri, literal, parse_quads
+from podfed.quads import (
+    COMPONENTS, Quad, QuadPattern, Variable, iri, literal, parse_quads, pattern_matches,
+)
 from podfed.summary import ANY_SOURCE, AmfParams, ExactFilter, summary_add, summary_contains
 
 OWNER = "urn:owner"
@@ -328,6 +331,38 @@ class TestPoliciesGovernOnlyTheirFile:
         assert set(pod.key_map.quads()) == {SHARED_Q, NAME_Q}
 
 
+class TestAccessStateIsKeyedByPredicate:
+    def test_one_entry_and_at_most_one_decision_per_predicate(self, monkeypatch):
+        k = 4
+        quads = [Quad(iri(f"urn:s{i % 7}"), iri(f"urn:p{i % k}"), literal(f"v{i}"))
+                 for i in range(300)]
+        policies = [
+            AccessPolicy(id="pub", subject_group=SubjectGroup(OWNER, TIER_EVERYONE),
+                         effect=PERMIT, file_uri=FILE, predicates=frozenset({"urn:p0", "urn:p1"})),
+            AccessPolicy(id="friends", effect=PERMIT, file_uri=FILE,
+                         subject_group=SubjectGroup(OWNER, TIER_FRIENDS, frozenset({FRIEND}))),
+        ]
+        assert len(create_access_keys(FILE, quads, policies, KeyStore()).entries) == k
+        pod = make_pod(policies=policies, files={FILE: quads})
+        assert len(pod.file(FILE).key_map.entries) == k
+        calls = []
+        original = podfed.pod.allowed_access
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(podfed.pod, "allowed_access", counting)
+        public = {q for q in quads if q.predicate.value in ("urn:p0", "urn:p1")}
+        for who, readable in ((None, public), (Identity(FRIEND, "friend-token"), set(quads))):
+            for pattern in (ALL, QuadPattern(iri("urn:s3"), Variable("p"), Variable("o"),
+                                             Variable("g"))):
+                calls.clear()
+                assert pod.execute_query(who, pattern, FILE) == {
+                    q for q in readable if pattern_matches(pattern, q)}
+                assert 0 < len(calls) <= k
+
+
 POOL = [Quad(iri(f"urn:s{i % 2}"), iri(f"urn:p{i % 3}"), literal(f"v{i}")) for i in range(6)]
 URIS = ["urn:pod:f0", "urn:pod:f1", "urn:pod:f2"]
 MEMBERS = {TIER_EVERYONE: frozenset(), TIER_ACQUAINTANCES: frozenset({FRIEND, STRANGER}),
@@ -339,6 +374,15 @@ POLICIES = st.lists(st.tuples(
     st.sampled_from(TIERS),
     st.frozensets(st.sampled_from(["urn:p0", "urn:p1", "urn:p2"]), max_size=2),
 ), max_size=6)
+
+
+def position(name):
+    """A ground term from POOL, or one of a few variables shared across positions."""
+    return st.one_of(st.sampled_from([q.component(name) for q in POOL]),
+                     st.sampled_from([Variable("x"), Variable("y"), Variable(name)]))
+
+
+PATTERNS = st.lists(st.builds(QuadPattern, *map(position, COMPONENTS)), max_size=3)
 STEPS = st.lists(st.one_of(
     st.tuples(st.just("write"), st.sampled_from(URIS), CONTENTS),
     st.tuples(st.just("rotate"), st.integers(0, 5)),
@@ -354,7 +398,15 @@ class TestPerFileIsolation:
         return [p for p in pod.policies if p.file_uri == uri
                 and (not p.predicates or quad.predicate.value in p.predicates)]
 
-    def check(self, pod):
+    @staticmethod
+    def matches(pattern, quad):
+        """Ground positions equal the quad's terms; positions sharing a
+        variable hold equal terms."""
+        slots = [(pattern.component(n), quad.component(n)) for n in COMPONENTS]
+        return all(isinstance(p, Variable) or p == t for p, t in slots) and all(
+            t == u for p, t in slots for q, u in slots if isinstance(p, Variable) and p == q)
+
+    def check(self, pod, patterns=()):
         for uri in URIS:
             quads = pod.file_quads(uri)
             expected = {name: ExactFilter(PARAMS) for name in COMPONENTS}
@@ -376,11 +428,15 @@ class TestPerFileIsolation:
                                               or pod.conflict_strategy == PERMIT_OVERRIDES):
                         allowed.add(quad)
                 assert pod.execute_query(who, ALL, uri) == allowed, (uri, webid)
+                for pattern in patterns:
+                    want = {q for q in allowed if self.matches(pattern, q)}
+                    assert pod.execute_query(who, pattern, uri) == want, (uri, webid, pattern)
 
     @settings(deadline=None, max_examples=150)
     @given(st.fixed_dictionaries({uri: CONTENTS for uri in URIS}), POLICIES, STEPS,
-           st.sampled_from(["deny-overrides", PERMIT_OVERRIDES]))
-    def test_each_file_follows_only_its_own_policies(self, files, specs, steps, strategy):
+           st.sampled_from(["deny-overrides", PERMIT_OVERRIDES]), PATTERNS)
+    def test_each_file_follows_only_its_own_policies(self, files, specs, steps, strategy,
+                                                     patterns):
         policies = [
             AccessPolicy(id=f"r{i}", subject_group=SubjectGroup(OWNER, tier, MEMBERS[tier]),
                          effect=effect, file_uri=uri, predicates=predicates)
@@ -389,7 +445,7 @@ class TestPerFileIsolation:
         registry = {w: f"{w}-token" for w in (OWNER, FRIEND, STRANGER)}
         pod = make_pod(policies=policies, files=files, registry=registry,
                        filter_cls=ExactFilter, conflict_strategy=strategy)
-        self.check(pod)
+        self.check(pod, patterns)
         for step in steps:
             if step[0] == "write":
                 pod.update_file(step[1], step[2])
@@ -398,7 +454,7 @@ class TestPerFileIsolation:
                     pod.rotate_key(policies[step[1]])
                 except PolicyError:
                     continue
-            self.check(pod)
+            self.check(pod, patterns)
 
 
 class TestConcurrentReaders:

@@ -62,21 +62,14 @@ class TestGroups:
 
 class TestPolicy:
     def test_covers_checks_file_and_predicate(self):
+        # the file is checked by create_access_keys (policies on other files are ignored)
         p = policy("p1", group(TIER_EVERYONE), predicates={"urn:v:name"})
-        assert p.covers(FILE, quad("urn:v:name"))
-        assert not p.covers(FILE, quad("urn:v:email"))
-        assert not p.covers("urn:pod:other", quad("urn:v:name"))
+        assert p.covers("urn:v:name")
+        assert not p.covers("urn:v:email")
 
     def test_empty_predicate_set_covers_all(self):
         p = policy("p1", group(TIER_EVERYONE))
-        assert p.covers(FILE, quad("urn:v:anything"))
-
-    def test_only_read_right_supported(self):
-        with pytest.raises(ValueError):
-            AccessPolicy(
-                id="w", subject_group=group(TIER_EVERYONE), effect=PERMIT,
-                file_uri=FILE, right="write",
-            )
+        assert p.covers("urn:v:anything")
 
     def test_effect_validated(self):
         with pytest.raises(ValueError):

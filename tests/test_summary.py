@@ -335,7 +335,8 @@ class TestWireProperties:
 class TestFileSummary:
     def test_uncovered_quads_contribute_nothing(self):
         quad = Quad(iri("urn:s"), iri("urn:p"), literal("o"))
-        summary = create_file_summary([quad], SRC, PolicyKeyMap({quad: frozenset()}), PARAMS)
+        key_map = PolicyKeyMap({quad.predicate.value: frozenset()}, (quad,))
+        summary = create_file_summary([quad], SRC, key_map, PARAMS)
         assert all(f.popcount == 0 for f in summary.filters())
         assert summary.sources == (SRC,)
 
@@ -357,7 +358,7 @@ def _single_key_map(quad, key):
         id="p", subject_group=SubjectGroup("urn:pod", "friends"), effect="permit",
         file_uri=SRC,
     )
-    return PolicyKeyMap({quad: frozenset({(policy, key)})})
+    return PolicyKeyMap({quad.predicate.value: frozenset({(policy, key)})}, (quad,))
 
 
 class TestEstimate:
