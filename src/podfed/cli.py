@@ -146,7 +146,10 @@ def _cmd_run(args) -> int:
         print("# selected: " + ", ".join(report.selected))
     if report.pruned_by_global:
         print("# pruned by the global pre-filter: no source holds the pattern")
-    print(f"# summary probes: {report.probes_performed}")
+    print(
+        f"# summary probes: {report.probes_performed} "
+        f"(global {report.global_probes}, per source {report.source_probes})"
+    )
     for uri, message in sorted(result.failures.items()):
         print(f"# failed: {uri}: {message}")
     return 0

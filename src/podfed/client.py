@@ -1,15 +1,20 @@
 """Client-side query engine.
 
 Source selection happens entirely on the client against the aggregator's
-combined summary: for each ground pattern component the client probes the
-matching filter with every key on its ring. A source is kept only if every
-ground component matches under at least one key. Because the underlying
-filters never produce false negatives, skipping a pruned source can never
-lose results; false positives only cost a wasted pod query.
+combined summary. A source is kept only if every ground pattern component
+is present in its slot of the matching filter under at least one key on
+the client's ring. Because the underlying filters never produce false
+negatives, skipping a pruned source can never lose results; false
+positives only cost a wasted pod query.
 
-The any-source slot of the combined summary serves as a cheap global
-pre-check: if a ground component matches nowhere in the whole federation,
-no per-source probing is needed at all.
+Every element is also inserted under the same key for the any-source slot,
+so selection runs in two stages. The global stage probes the any-source
+slot with every key on the ring, once per ground component, and keeps the
+keys that hit ("live" keys). A component with no live key matches nowhere
+in the federation, and the whole pattern is pruned without per-source
+probing. The per-source stage then probes each source only with live keys,
+components with the fewest live keys first: a key that missed the global
+stage could hit a source only through a false positive.
 """
 
 from __future__ import annotations
@@ -39,7 +44,15 @@ class SelectionReport:
     candidates: SourceList
     selected: tuple[str, ...]
     pruned_by_global: bool = False
-    probes_performed: int = 0
+    global_probes: int = 0
+    source_probes: int = 0
+    # (component, number of live keys), fewest first: the per-source probe
+    # order. Counts only, never key bytes.
+    live_keys: tuple[tuple[str, int], ...] = ()
+
+    @property
+    def probes_performed(self) -> int:
+        return self.global_probes + self.source_probes
 
 
 @dataclass(frozen=True)
@@ -67,33 +80,51 @@ def select_sources(
 ) -> tuple[tuple[str, ...], SelectionReport]:
     """Pick the sources that may hold matches for ``pattern``.
 
-    A source survives only if each ground component is present in the
-    combined summary under some key the client holds; the wildcard source
-    is tested the same way first. All-variable patterns have nothing to
-    probe with and select every source.
+    The global stage probes the any-source slot with every key on the
+    ring, in sorted key order, and keeps each ground component's live
+    keys; the first component without one prunes globally. The per-source
+    stage probes each source with the live keys only, fewest-keys
+    component first, and rejects the source at the first component with
+    no hit. All-variable patterns have nothing to probe with and select
+    every source.
     """
-    ground = pattern.ground_components()
-    probes = 0
+    ring = sorted(keyring.keys)
+    global_probes = source_probes = 0
+    live = []
+    for name, term in pattern.ground_components():
+        f = combined.component(name)
+        keys = []
+        for key in ring:
+            global_probes += 1
+            if summary_contains(f, term, key, ANY_SOURCE):
+                keys.append(key)
+        live.append((name, f, term, keys))
+        if not keys:
+            break
+    pruned = any(not keys for *_, keys in live)
+    live.sort(key=lambda component: len(component[3]))
 
     def holds(uri: str) -> bool:
-        nonlocal probes
-        for name, term in ground:
-            f = combined.component(name)
-            for key in keyring.keys:
-                probes += 1
+        nonlocal source_probes
+        for _, f, term, keys in live:
+            for key in keys:
+                source_probes += 1
                 if summary_contains(f, term, key, uri):
                     break
             else:
                 return False
         return True
 
-    if not holds(ANY_SOURCE):
-        report = SelectionReport(
-            pattern, sources, (), pruned_by_global=True, probes_performed=probes
-        )
-        return report.selected, report
-    selected = tuple(uri for uri in sources if holds(uri))
-    report = SelectionReport(pattern, sources, selected, probes_performed=probes)
+    selected = () if pruned else tuple(uri for uri in sources if holds(uri))
+    report = SelectionReport(
+        pattern,
+        sources,
+        selected,
+        pruned_by_global=pruned,
+        global_probes=global_probes,
+        source_probes=source_probes,
+        live_keys=tuple((name, len(keys)) for name, _, _, keys in live),
+    )
     return report.selected, report
 
 

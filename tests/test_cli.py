@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import BOB_PROFILE
@@ -19,6 +24,23 @@ class TestRun:
         assert "# results: 2" in out
         assert "bob@pods.org" in out and "carol@pods.org" in out
         assert "2 selected" in out
+        assert "# summary probes: 8 (global 3, per source 5)" in out
+
+    def test_output_does_not_depend_on_the_hash_seed(self):
+        # keys are probed in sorted order, so the probe sequence and its
+        # count are a function of the inputs alone
+        argv = [sys.executable, "-m", "podfed.cli", "run", "--as", "alice",
+                "--pattern", "?s <urn:podfed:vocab#email> ?o ?g", "--seed", "1", "--fixed-keys"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = {
+            subprocess.run(
+                argv, env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("0", "2")
+        }
+        assert len(outputs) == 1
+        assert "# summary probes: 8" in outputs.pop()
 
     def test_globally_pruned_query(self, capsys):
         code = run("run", "--as", "dave", "--pattern", "?s <urn:podfed:vocab#telephone> ?o ?g")

@@ -1,7 +1,12 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import podfed.client
+from podfed import bundled_scenario_path, load_scenario
 from podfed.aggregator import Aggregator
 from podfed.client import federated_query, query_sources, select_sources
 from podfed.policy import (
@@ -13,8 +18,14 @@ from podfed.policy import (
     SubjectGroup,
     create_access_keys,
 )
-from podfed.quads import Quad, QuadPattern, Variable, iri, literal
-from podfed.summary import AmfParams, ExactFilter, create_file_summary
+from podfed.quads import COMPONENTS, Quad, QuadPattern, Variable, iri, literal
+from podfed.summary import (
+    ANY_SOURCE,
+    AmfParams,
+    ExactFilter,
+    create_file_summary,
+    summary_contains,
+)
 
 PARAMS = AmfParams(m=4096, h=5)
 
@@ -95,6 +106,46 @@ class TestSelectSources:
         selected, report = select_sources(ALL_VAR, ring(), combined, sources)
         assert selected == sources
         assert report.probes_performed == 0
+        assert report.live_keys == ()
+
+    def test_probe_split_and_live_keys(self):
+        agg = build_aggregator()
+        combined, sources = agg.snapshot()
+        _, report = select_sources(pat("urn:p:tel"), ring(SECRET_KEY), combined, sources)
+        # both keys probed globally, only the secret one hits; each source
+        # is then probed with that key alone
+        assert report.live_keys == (("predicate", 1),)
+        assert (report.global_probes, report.source_probes) == (2, 2)
+        assert report.probes_performed == 4
+
+    def test_global_prune_stops_at_the_dead_component(self):
+        agg = build_aggregator()
+        combined, sources = agg.snapshot()
+        pattern = QuadPattern(iri("urn:s:nowhere"), iri("urn:p:name"), Variable("o"), Variable("g"))
+        _, report = select_sources(pattern, ring(SECRET_KEY), combined, sources)
+        assert report.pruned_by_global
+        assert report.live_keys == (("subject", 0),)
+        assert (report.global_probes, report.source_probes) == (2, 0)
+
+    def test_fewest_live_keys_component_is_probed_first(self):
+        shared = iri("urn:p:shared")
+        files = {
+            SRC_PUB: (Quad(iri("urn:s:a"), shared, literal("open")), PUB_POLICY),
+            SRC_SEC: (Quad(iri("urn:s:b"), shared, literal("closed")), SEC_POLICY),
+        }
+        summaries = {}
+        for uri, (quad, policy) in files.items():
+            key_map = create_access_keys(uri, [quad], [policy], KEYSTORE)
+            summaries[uri] = create_file_summary([quad], uri, key_map, PARAMS, ExactFilter)
+        agg = Aggregator(summaries.__getitem__, list(files), PARAMS, filter_cls=ExactFilter)
+        combined, sources = agg.snapshot()
+        pattern = pat("urn:p:shared", "open")
+        selected, report = select_sources(pattern, ring(SECRET_KEY), combined, sources)
+        assert report.live_keys == (("object", 1), ("predicate", 2))
+        assert selected == (SRC_PUB,)
+        # SRC_SEC is rejected by its one object probe; SRC_PUB needs one
+        # object probe and at most two predicate probes
+        assert 3 <= report.source_probes <= 4
 
     def test_every_ground_component_must_survive(self):
         agg = build_aggregator()
@@ -190,3 +241,132 @@ class TestFederatedQuery:
         result, report = federated_query(None, ring(), pat("urn:p:tel"), agg, fn)
         assert report.pruned_by_global
         assert len(result) == 0
+
+
+# --- soundness of key-aware selection on the addressbook scenario -----------
+
+
+def reference_select(pattern, keyring, combined, sources):
+    """Exhaustive selection: the global slot, then every source, each probed
+    with every key on the ring."""
+
+    def holds(uri):
+        return all(
+            any(summary_contains(combined.component(name), term, key, uri) for key in keyring.keys)
+            for name, term in pattern.ground_components()
+        )
+
+    if not holds(ANY_SOURCE):
+        return ()
+    return tuple(uri for uri in sources if holds(uri))
+
+
+def oracle(fed, identity, pattern):
+    """Every source queried directly through its pod's enforcement."""
+    return {
+        (quad, uri)
+        for pod in fed.pods
+        for uri in pod.file_uris
+        for quad in pod.execute_query(identity, pattern, uri)
+    }
+
+
+def _addressbook(tmp_dir, exact=False, tiny=False):
+    path = bundled_scenario_path()
+    if tiny:
+        # a 64-bit filter per component: frequent false positives
+        text = path.read_text().replace("m: 131072\n  h: 11", "m: 64\n  h: 2")
+        assert "m: 64" in text
+        path = tmp_dir / "tiny.yaml"
+        path.write_text(text)
+    return load_scenario(path, seed=7, fixed_keys=True, exact=exact)
+
+
+@pytest.fixture(scope="module")
+def feds(tmp_path_factory):
+    tmp_dir = tmp_path_factory.mktemp("scenarios")
+    return {
+        "exact": _addressbook(tmp_dir, exact=True),
+        "bloom": _addressbook(tmp_dir),
+        "tiny": _addressbook(tmp_dir, tiny=True),
+    }
+
+
+def _terms(fed):
+    """Per component: the scenario's terms plus one that occurs nowhere."""
+    terms = {name: {iri(f"urn:absent:{name}")} for name in COMPONENTS}
+    for pod in fed.pods:
+        for uri in pod.file_uris:
+            for quad in pod.file_quads(uri):
+                for name in COMPONENTS:
+                    terms[name].add(quad.component(name))
+    return {name: sorted(values, key=str) for name, values in terms.items()}
+
+
+def _all_keys(fed):
+    return sorted({key for name in fed.identities for key in fed.keyring(name).keys})
+
+
+@st.composite
+def patterns(draw, fed):
+    terms = _terms(fed)
+    return QuadPattern(*(
+        draw(st.sampled_from(terms[name]) | st.just(Variable(name[0]))) for name in COMPONENTS
+    ))
+
+
+@st.composite
+def keyrings(draw, fed, base=frozenset({PUBLIC_KEY})):
+    keys = draw(st.sets(st.sampled_from(_all_keys(fed))))
+    junk = draw(st.lists(st.binary(min_size=32, max_size=32), max_size=2))
+    return KeyRing(owner="urn:test", keys=frozenset({*base, *keys, *junk}))
+
+
+class TestKeyAwareSelection:
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_exact_filters_select_like_the_exhaustive_reference(self, feds, data):
+        fed = feds["exact"]
+        pattern, keyring = data.draw(patterns(fed)), data.draw(keyrings(fed))
+        combined, sources = fed.aggregator.snapshot()
+        selected, _ = select_sources(pattern, keyring, combined, sources)
+        assert selected == reference_select(pattern, keyring, combined, sources)
+
+    @pytest.mark.parametrize("kind", ["bloom", "tiny"])
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_bloom_selection_is_an_ordered_subset_with_equal_answers(self, feds, kind, data):
+        fed = feds[kind]
+        name = data.draw(st.sampled_from([None, *sorted(fed.identities)]))
+        identity = fed.identity(name)
+        pattern = data.draw(patterns(fed))
+        keyring = data.draw(keyrings(fed, base=fed.keyring(name).keys))
+        combined, sources = fed.aggregator.snapshot()
+        selected, _ = select_sources(pattern, keyring, combined, sources)
+        reference = reference_select(pattern, keyring, combined, sources)
+        assert selected == tuple(uri for uri in reference if uri in selected)
+        result, _ = federated_query(identity, keyring, pattern, fed.aggregator, fed.query_fn)
+        assert result.bindings == oracle(fed, identity, pattern)
+
+    @pytest.mark.parametrize("kind", ["bloom", "tiny"])
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_keys_that_miss_globally_are_never_probed_per_source(self, feds, kind, data):
+        fed = feds[kind]
+        pattern, keyring = data.draw(patterns(fed)), data.draw(keyrings(fed))
+        combined, sources = fed.aggregator.snapshot()
+        hits, per_source = set(), []
+
+        def counting(f, term, key, uri):
+            found = summary_contains(f, term, key, uri)
+            if uri != ANY_SOURCE:
+                per_source.append((id(f), term, key))
+            elif found:
+                hits.add((id(f), term, key))
+            return found
+
+        with mock.patch.object(podfed.client, "summary_contains", counting):
+            _, report = select_sources(pattern, keyring, combined, sources)
+        assert all(probe in hits for probe in per_source)
+        assert len(per_source) == report.source_probes
+        assert report.global_probes <= len(keyring) * len(pattern.ground_components())
